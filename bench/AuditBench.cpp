@@ -53,7 +53,13 @@ int main(int Argc, char **Argv) {
       return 0;
     }
   }
-  SessionArgs SA = parseSessionArgs(Argc, Argv);
+  SessionArgs SA;
+  try {
+    SA = parseSessionArgs(Argc, Argv);
+  } catch (const std::invalid_argument &E) {
+    std::fprintf(stderr, "error: %s\n", E.what());
+    return 2;
+  }
   for (int I = 1; I < Argc; ++I) {
     if (SA.Consumed[static_cast<size_t>(I)])
       continue;

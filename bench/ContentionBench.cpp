@@ -1,13 +1,10 @@
-//===- bench/ContentionBench.cpp - Frontier contention: shared vs stealing --===//
+//===- bench/ContentionBench.cpp - Frontier drain: threads x pruning ------===//
 //
-// The tentpole measurement for the sharded-frontier engine: the same
-// fork-heavy schedule trees drained by
-//   - the PR 1 baseline (one mutex+condvar frontier shared by all
-//     workers; `Shards = 1`),
-//   - the work-stealing sharded frontier (`Shards = 0`, one Chase-Lev
-//     style deque per worker), and
-//   - stealing plus the cross-schedule seen-state table (`PruneSeen`),
-// each at 1/2/4/8 worker threads.  Every run's deduplicated leak set is
+// The same fork-heavy schedule trees drained by the explorer's frontier —
+// the plain LIFO vector at one thread, one Chase-Lev style work-stealing
+// deque per worker above it — with and without the cross-schedule
+// seen-state table (`PruneSeen`), each at 1/2/4/8 worker threads.  Every
+// run's deduplicated leak set is
 // cross-checked against the sequential reference — a configuration that
 // went faster by dropping findings fails the whole bench.
 //
@@ -77,12 +74,10 @@ Program forkLadder(unsigned Rungs) {
   return parseAsmOrDie(Asm);
 }
 
-RunRecord runOne(const BenchCase &C, const char *Config, unsigned Threads,
-                 unsigned Shards, bool Prune,
+RunRecord runOne(const BenchCase &C, unsigned Threads, bool Prune,
                  const std::set<uint64_t> &RefLeaks) {
   ExplorerOptions Opts = C.Mode;
   Opts.Threads = Threads;
-  Opts.Shards = Shards;
   Opts.PruneSeen = Prune;
   Machine M(C.Prog);
   auto T0 = std::chrono::steady_clock::now();
@@ -90,7 +85,7 @@ RunRecord runOne(const BenchCase &C, const char *Config, unsigned Threads,
   auto T1 = std::chrono::steady_clock::now();
 
   RunRecord Rec;
-  Rec.Config = Config;
+  Rec.Config = Prune ? "pruned" : "unpruned";
   Rec.Threads = Threads;
   Rec.Seconds = std::chrono::duration<double>(T1 - T0).count();
   Rec.Steps = R.TotalSteps;
@@ -168,11 +163,11 @@ int main(int Argc, char **Argv) {
     return 2;
   }
   std::fprintf(Out, "{\n  \"bench\": \"frontier-contention\",\n"
-                    "  \"baseline\": \"shared (Shards=1, the PR 1 single "
-                    "mutex-guarded frontier)\",\n  \"cases\": [\n");
+                    "  \"baseline\": \"unpruned (PruneSeen off)\",\n"
+                    "  \"cases\": [\n");
 
   bool AllOk = true;
-  double Shared8 = 0, Steal8 = 0, StealPrune8 = 0;
+  double Unpruned8 = 0, Pruned8 = 0;
   for (size_t CI = 0; CI < Cases.size(); ++CI) {
     const BenchCase &C = Cases[CI];
     // Sequential reference leak set (the determinism anchor).
@@ -185,10 +180,8 @@ int main(int Argc, char **Argv) {
     std::printf("%s:\n", C.Id.c_str());
     std::vector<RunRecord> Runs;
     for (unsigned T : ThreadCounts) {
-      Runs.push_back(runOne(C, "shared", T, /*Shards=*/1, false, RefLeaks));
-      Runs.push_back(runOne(C, "steal", T, /*Shards=*/0, false, RefLeaks));
-      Runs.push_back(
-          runOne(C, "steal+prune", T, /*Shards=*/0, true, RefLeaks));
+      Runs.push_back(runOne(C, T, /*Prune=*/false, RefLeaks));
+      Runs.push_back(runOne(C, T, /*Prune=*/true, RefLeaks));
     }
 
     std::vector<std::vector<std::string>> Table;
@@ -199,17 +192,11 @@ int main(int Argc, char **Argv) {
                        std::to_string(R.Pruned),
                        R.LeakSetOk ? "ok" : "MISMATCH"});
       AllOk &= R.LeakSetOk;
-      if (R.Threads == 8) {
-        if (R.Config == "shared")
-          Shared8 += R.Seconds;
-        else if (R.Config == "steal")
-          Steal8 += R.Seconds;
-        else
-          StealPrune8 += R.Seconds;
-      }
+      if (R.Threads == 8)
+        (R.Config == "pruned" ? Pruned8 : Unpruned8) += R.Seconds;
     }
     std::printf("%s\n",
-                renderTable({"frontier", "threads", "seconds", "steps",
+                renderTable({"seen table", "threads", "seconds", "steps",
                              "steals", "pruned", "leak set"},
                             Table)
                     .c_str());
@@ -220,21 +207,18 @@ int main(int Argc, char **Argv) {
     std::fprintf(Out, "    ]}%s\n", CI + 1 == Cases.size() ? "" : ",");
   }
 
-  double StealSpeedup = Steal8 > 0 ? Shared8 / Steal8 : 0;
-  double PruneSpeedup = StealPrune8 > 0 ? Shared8 / StealPrune8 : 0;
+  double PruneSpeedup = Pruned8 > 0 ? Unpruned8 / Pruned8 : 0;
   std::fprintf(Out,
-               "  ],\n  \"aggregate_8_threads\": {\"shared_seconds\": %.6f, "
-               "\"steal_seconds\": %.6f, \"steal_prune_seconds\": %.6f, "
-               "\"steal_speedup_vs_shared\": %.3f, "
-               "\"steal_prune_speedup_vs_shared\": %.3f},\n"
+               "  ],\n  \"aggregate_8_threads\": {\"unpruned_seconds\": %.6f, "
+               "\"pruned_seconds\": %.6f, "
+               "\"pruned_speedup_vs_unpruned\": %.3f},\n"
                "  \"all_leak_sets_match_reference\": %s\n}\n",
-               Shared8, Steal8, StealPrune8, StealSpeedup, PruneSpeedup,
-               AllOk ? "true" : "false");
+               Unpruned8, Pruned8, PruneSpeedup, AllOk ? "true" : "false");
   std::fclose(Out);
 
-  std::printf("aggregate at 8 threads: shared %.3fs, steal %.3fs (%.2fx), "
-              "steal+prune %.3fs (%.2fx)\n",
-              Shared8, Steal8, StealSpeedup, StealPrune8, PruneSpeedup);
+  std::printf("aggregate at 8 threads: unpruned %.3fs, pruned %.3fs "
+              "(%.2fx)\n",
+              Unpruned8, Pruned8, PruneSpeedup);
   std::printf("recorded %s\n", OutPath);
   if (!AllOk) {
     std::printf("LEAK SET MISMATCH against the sequential reference\n");

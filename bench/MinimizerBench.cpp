@@ -1,9 +1,9 @@
 //===- bench/MinimizerBench.cpp - Minimization: threads x seeding sweep -----===//
 //
-// The measurement behind the parallel, checkpoint-seeded minimization
-// phase.  Each case builds a deterministic leak corpus — the explorer's
-// own witnesses (Threads=1 hybrid-snapshot exploration with checkpoint
-// chains recorded) plus, for the deep trees, bloated random-schedule
+// The measurement behind the parallel, rung-seeded minimization phase.
+// Each case builds a deterministic leak corpus — the explorer's own
+// witnesses (a Threads=1 exploration with default options) plus, for
+// the deep trees, bloated random-schedule
 // witnesses (fixed seeds; the junk-rich "unreadable witness" inputs
 // docs/WITNESSES.md frames as minimization's motivating case) — and
 // minimizes it under:
@@ -17,7 +17,7 @@
 //     This is the byte-identity reference: seeding, memoization, and
 //     threads are all provably output-preserving, so every row below
 //     must match it exactly.
-//   - `seeded-tN`: the full phase — checkpoint-seeded replays, candidate
+//   - `seeded-tN`: the full phase — rung-seeded replays, candidate
 //     memo, excursion slicing — at Threads in {1, 2, 4, 8}.
 //
 // Two ratios fall out, reported per case and summarized for the deepest
@@ -27,7 +27,7 @@
 // not required), and the full phase against `from-initial` (byte-equal
 // outputs enforced: a mismatch fails the whole bench).  `replayed_steps`
 // counts machine steps actually executed — the honest CPU cost;
-// `seeded_steps` is what checkpoint seeding skipped.  Wall-clock rows on
+// `seeded_steps` is what rung seeding skipped.  Wall-clock rows on
 // a single-core host show the step ratio; thread scaling needs cores.
 //
 // Results are printed as a table and recorded to BENCH_MINIMIZER.json
@@ -227,13 +227,10 @@ int main(int Argc, char **Argv) {
   double PhaseStepX = 0, PhaseWallX = 0, SeedStepX = 0, SeedWallX = 0;
   for (size_t CI = 0; CI < Cases.size(); ++CI) {
     const BenchCase &C = Cases[CI];
-    // One deterministic exploration feeds every config: Threads=1 hybrid
-    // snapshots with the checkpoint chain recorded, exactly what a
-    // minimizing CheckSession would request.
+    // One deterministic exploration feeds every config: the case's mode
+    // at Threads=1, as a sequential minimizing CheckSession explores it.
     ExplorerOptions EOpts = C.Mode;
     EOpts.Threads = 1;
-    EOpts.Snapshots = SnapshotPolicy::Hybrid;
-    EOpts.RecordCheckpointChain = true;
     Machine M(C.Prog);
     Configuration Init = Configuration::initial(C.Prog);
     ExploreResult R = explore(M, Init, EOpts);
@@ -331,8 +328,8 @@ int main(int Argc, char **Argv) {
       "\"wall_clock\": %.2f},\n"
       "    \"full_phase_vs_from_initial\": {\"replay_steps\": %.2f, "
       "\"wall_clock\": %.2f},\n"
-      "    \"note\": \"threads do not shorten wall-clock on a 1-core "
-      "host; the CI smoke run shows the parallel axis\"\n  },\n"
+      "    \"note\": \"threads shorten wall-clock only up to the "
+      "host's core count\"\n  },\n"
       "  \"all_min_scheds_match_from_initial\": %s\n}\n",
       PhaseStepX, PhaseWallX, SeedStepX, SeedWallX, AllOk ? "true" : "false");
   std::fclose(Out);

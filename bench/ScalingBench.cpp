@@ -9,9 +9,8 @@
 //
 // Google-benchmark sweeps over the speculation bound in both modes on a
 // crypto-sized workload, plus raw machine-step and sequential-execution
-// throughput — and the engine axes on top: frontier worker threads,
-// snapshot policy (Copy vs Replay), and batched multi-program checking
-// through CheckSession::checkMany.
+// throughput — and the engine axes on top: frontier worker threads and
+// batched multi-program checking through CheckSession::checkMany.
 //
 //===----------------------------------------------------------------------===//
 
@@ -142,21 +141,6 @@ void BM_ExploreThreadScalingNoFwd(benchmark::State &State) {
 }
 BENCHMARK(BM_ExploreThreadScalingNoFwd)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_SnapshotPolicy(benchmark::State &State) {
-  // Copy (COW configurations) vs Replay (prefix-only nodes) fork cost.
-  SuiteCase C = meeFact();
-  Machine M(C.Prog);
-  for (auto _ : State) {
-    ExplorerOptions Opts = v4Mode();
-    Opts.Snapshots = State.range(0) ? SnapshotPolicy::Replay
-                                    : SnapshotPolicy::Copy;
-    ExploreResult R = explore(M, Configuration::initial(C.Prog), Opts);
-    benchmark::DoNotOptimize(R.Leaks.size());
-  }
-  State.SetLabel(State.range(0) ? "replay" : "copy");
-}
-BENCHMARK(BM_SnapshotPolicy)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_CheckManyBatch(benchmark::State &State) {
   // Program-level fan-out: the whole Kocher + v1.1 corpus as one

@@ -16,15 +16,12 @@
 // byte-identical).  `--prepr ID=RATE` re-anchors them after
 // re-measuring on different hardware.
 //
-// The binary still carries one knob of the old behaviour:
-// `ExplorerOptions::FromScratchHashing` makes every seen-state probe
-// re-walk the whole configuration instead of reading the maintained
-// fingerprint.  Both modes run here as a hashing-sensitivity column —
-// they compute bit-identical hash values, and the bench enforces result
-// identity: every run's leak-key set must match the sequential
-// reference, the Threads=1 runs must produce byte-identical LeakRecords
-// (keys, schedules, observations), and their minimized witnesses must
-// match byte-for-byte.
+// The bench enforces result identity: every run's leak-key set must
+// match the sequential reference, and the Threads=1 run must reproduce
+// the reference's LeakRecords (keys, schedules, observations) and
+// minimized witnesses byte-for-byte.  (That hash() equals the full-walk
+// hashFromScratch() oracle along these trees' witnesses is pinned by
+// tests/HashEquivalenceTest.cpp.)
 //
 // Results go to BENCH_STEPRATE.json (override with --out FILE); the
 // headline is per-core steps/sec at Threads=1 vs the pre-PR layout,
@@ -83,7 +80,6 @@ struct BenchCase {
 };
 
 struct RunRecord {
-  std::string Config;
   unsigned Threads = 0;
   double Seconds = 0;
   uint64_t Steps = 0;
@@ -126,17 +122,14 @@ bool recordsIdentical(const std::vector<LeakRecord> &A,
 }
 
 std::pair<RunRecord, ExploreResult> runOne(const BenchCase &C,
-                                           const char *Config,
-                                           unsigned Threads, bool FromScratch,
+                                           unsigned Threads,
                                            const std::set<uint64_t> &RefLeaks) {
   ExplorerOptions Opts = C.Mode;
   Opts.Threads = Threads;
   Opts.PruneSeen = true;
-  Opts.FromScratchHashing = FromScratch;
   Machine M(C.Prog);
 
   RunRecord Rec;
-  Rec.Config = Config;
   Rec.Threads = Threads;
   ExploreResult Best;
   for (int I = 0; I < Repeats; ++I) {
@@ -183,14 +176,14 @@ double calibrationScore() {
 
 void jsonRun(FILE *F, const RunRecord &R, bool Last) {
   std::fprintf(F,
-               "      {\"config\": \"%s\", \"threads\": %u, "
+               "      {\"threads\": %u, "
                "\"seconds\": %.6f, \"steps\": %llu, "
                "\"steps_per_sec\": %.1f, \"per_core_steps_per_sec\": %.1f, "
                "\"leaks\": %zu, \"leak_set_matches_reference\": %s, "
                "\"configs_forked\": %llu, \"rob_bytes_copied\": %llu, "
                "\"rob_bytes_flat_equiv\": %llu, "
                "\"rob_flat_over_copied\": %.2f}%s\n",
-               R.Config.c_str(), R.Threads, R.Seconds,
+               R.Threads, R.Seconds,
                static_cast<unsigned long long>(R.Steps), R.stepsPerSec(),
                R.perCore(), R.Leaks, R.LeakSetOk ? "true" : "false",
                static_cast<unsigned long long>(R.Forked),
@@ -303,8 +296,8 @@ int main(int Argc, char **Argv) {
   double MinSpeedup1 = 0, MinPerCore1 = 0;
   for (size_t CI = 0; CI < Cases.size(); ++CI) {
     const BenchCase &C = Cases[CI];
-    // Sequential incremental reference: the determinism anchor for
-    // every other run's leak-key set.
+    // Sequential reference: the determinism anchor for every timed
+    // run's leak-key set and for the T=1 records.
     ExplorerOptions Ref = C.Mode;
     Ref.Threads = 1;
     Ref.PruneSeen = true;
@@ -317,33 +310,29 @@ int main(int Argc, char **Argv) {
     double New1 = 0;
     bool T1Identical = true, T1MinIdentical = true;
     for (unsigned T : ThreadCounts) {
-      auto [OldRec, OldRes] =
-          runOne(C, "from-scratch", T, /*FromScratch=*/true, RefLeaks);
-      auto [NewRec, NewRes] =
-          runOne(C, "incremental", T, /*FromScratch=*/false, RefLeaks);
+      auto [Rec, Res] = runOne(C, T, RefLeaks);
       if (T == 1) {
-        New1 = NewRec.perCore();
-        // Sequential exploration is deterministic, so the two hashing
-        // modes must agree on every byte of every record — and their
-        // minimized witnesses must match too (minimization replays use
-        // the same incremental fingerprints for convergence rejoins).
-        T1Identical = recordsIdentical(OldRes.Leaks, NewRes.Leaks);
+        New1 = Rec.perCore();
+        // Sequential exploration is deterministic, so the timed run must
+        // agree with the reference on every byte of every record — and
+        // their minimized witnesses must match too (minimization replays
+        // use the incremental fingerprints for convergence rejoins).
+        T1Identical = recordsIdentical(RefRun.Leaks, Res.Leaks);
         MinimizeOptions MinOpts;
-        minimizeWitnesses(M, Configuration::initial(C.Prog), OldRes.Leaks,
+        minimizeWitnesses(M, Configuration::initial(C.Prog), RefRun.Leaks,
                           MinOpts);
-        minimizeWitnesses(M, Configuration::initial(C.Prog), NewRes.Leaks,
+        minimizeWitnesses(M, Configuration::initial(C.Prog), Res.Leaks,
                           MinOpts);
-        T1MinIdentical = recordsIdentical(OldRes.Leaks, NewRes.Leaks);
+        T1MinIdentical = recordsIdentical(RefRun.Leaks, Res.Leaks);
       }
-      Runs.push_back(std::move(OldRec));
-      Runs.push_back(std::move(NewRec));
+      Runs.push_back(std::move(Rec));
     }
 
     std::vector<std::vector<std::string>> Table;
     for (const RunRecord &R : Runs) {
       char Rate[32];
       std::snprintf(Rate, sizeof Rate, "%.0f", R.perCore());
-      Table.push_back({R.Config, std::to_string(R.Threads),
+      Table.push_back({std::to_string(R.Threads),
                        std::to_string(R.Seconds).substr(0, 6),
                        std::to_string(R.Steps), Rate,
                        R.LeakSetOk ? "ok" : "MISMATCH"});
@@ -351,7 +340,7 @@ int main(int Argc, char **Argv) {
     }
     AllOk &= T1Identical && T1MinIdentical;
     std::printf("%s\n",
-                renderTable({"hashing", "threads", "seconds", "steps",
+                renderTable({"threads", "seconds", "steps",
                              "steps/s/core", "leak set"},
                             Table)
                     .c_str());
@@ -362,22 +351,18 @@ int main(int Argc, char **Argv) {
       MinSpeedup1 = Speedup1;
     if (CI == 0 || New1 < MinPerCore1)
       MinPerCore1 = New1;
-    // T=1 incremental is Runs[1] (from-scratch T=1 is Runs[0]); its
-    // fork accounting is deterministic, so it is the sharing headline.
-    double Share1 = Runs.size() > 1 ? Runs[1].shareFactor() : 0;
+    // The T=1 run is Runs[0]; its fork accounting is deterministic, so
+    // it is the sharing headline.
+    double Share1 = Runs[0].shareFactor();
     std::printf("  per-core at 1 thread: %.0f steps/s, %.2fx the pre-PR "
                 "layout's %.0f; T=1 records %s, minimized witnesses %s\n",
                 New1, Speedup1, Prepr, T1Identical ? "identical" : "DIFFER",
                 T1MinIdentical ? "identical" : "DIFFER");
     std::printf("  fork copies at 1 thread: %llu, ROB bytes %llu vs %llu "
                 "flat (%.1fx shared)\n",
-                static_cast<unsigned long long>(
-                    Runs.size() > 1 ? Runs[1].Forked : 0),
-                static_cast<unsigned long long>(
-                    Runs.size() > 1 ? Runs[1].RobCopied : 0),
-                static_cast<unsigned long long>(
-                    Runs.size() > 1 ? Runs[1].RobFlat : 0),
-                Share1);
+                static_cast<unsigned long long>(Runs[0].Forked),
+                static_cast<unsigned long long>(Runs[0].RobCopied),
+                static_cast<unsigned long long>(Runs[0].RobFlat), Share1);
 
     std::fprintf(Out, "    {\"id\": \"%s\",\n", C.Id.c_str());
     std::fprintf(Out,
@@ -407,7 +392,7 @@ int main(int Argc, char **Argv) {
               MinSpeedup1);
   std::printf("recorded %s\n", OutPath);
   if (!AllOk) {
-    std::printf("RESULT MISMATCH between hashing modes\n");
+    std::printf("RESULT MISMATCH against the sequential reference\n");
     return 1;
   }
 

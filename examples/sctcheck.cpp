@@ -8,16 +8,17 @@
 //            [--indirect-targets a,b,..] [--rsb-targets a,b,..]
 //            [--fence-branches] [--fence-stores] [--first]
 //            [--mitigate fence|retpoline|minimal-fence]
-//            [--replay-snapshots] [--stats] [--validate] [--print]
-//            [session flags: --threads, --shards, --cache-dir,
+//            [--stats] [--validate] [--print]
+//            [session flags: --threads, --cache-dir,
 //             --workers, --minimize-*, --prove-sps, ... (--help)]
 //
 // Checks run through the engine layer (CheckSession).  The session-level
-// knobs — thread budget, frontier sharding, snapshot policy, witness
-// minimization, the SPS proof backend, the persistent result cache
-// (--cache-dir) and the worker-process pool (--workers) — all parse
-// through the shared declarative flag table (engine/SessionArgs.h); this
-// driver only adds the per-file attacker knobs above.  With --cache-dir,
+// knobs — thread budget, seen-state pruning, witness minimization, the
+// SPS proof backend, the persistent result cache (--cache-dir) and the
+// worker-process pool (--workers) — all parse through the shared
+// declarative flag table (engine/SessionArgs.h); this driver only adds
+// the per-file attacker knobs above.  A malformed session-flag value
+// exits with status 2 and a message naming the flag.  With --cache-dir,
 // a hit/miss line goes to *stderr* so stdout stays byte-comparable
 // between cold and warm audits (the CI cache-smoke relies on this).
 // --validate replays every witness differentially to confirm it as a
@@ -78,7 +79,6 @@ void usage(const char *Prog) {
       "                         seen-table occupancy/probe lengths, fork-\n"
       "                         filter verdicts, convergence prunes, and\n"
       "                         the distinct-state-per-depth histogram\n"
-      "  --replay-snapshots     prefix-replay fork checkpoints\n"
       "  --validate             differentially confirm each witness\n"
       "  --print                echo the (possibly transformed) program\n"
       "session flags (shared with every engine driver):\n%s",
@@ -129,10 +129,16 @@ int main(int Argc, char **Argv) {
   }
   Program Prog = std::move(*Parsed.Prog);
 
-  // Session flags (thread budget, sharding, snapshot policy, passes,
-  // cache, workers) parse through the shared table; the loop below only
-  // handles what the table left unconsumed.
-  SessionArgs SA = parseSessionArgs(Argc, Argv);
+  // Session flags (thread budget, pruning, passes, cache, workers) parse
+  // through the shared table; the loop below only handles what the table
+  // left unconsumed.
+  SessionArgs SA;
+  try {
+    SA = parseSessionArgs(Argc, Argv);
+  } catch (const std::invalid_argument &E) {
+    std::fprintf(stderr, "error: %s\n", E.what());
+    return 2;
+  }
   ExplorerOptions Opts = SA.Opts.DefaultOpts;
   bool SeqOnly = false, Print = false, Validate = false;
   const char *IndirectList = nullptr, *RsbList = nullptr;
@@ -175,8 +181,6 @@ int main(int Argc, char **Argv) {
       Opts.StopAtFirstLeak = true;
     else if (!std::strcmp(Argv[I], "--stats"))
       Opts.CollectStats = true;
-    else if (!std::strcmp(Argv[I], "--replay-snapshots"))
-      Opts.Snapshots = SnapshotPolicy::Replay;
     else if (!std::strcmp(Argv[I], "--validate"))
       Validate = true;
     else if (!std::strcmp(Argv[I], "--print"))
@@ -357,14 +361,6 @@ int main(int Argc, char **Argv) {
                   (B + 1) * ExploreStats::DepthBucket,
                   static_cast<unsigned long long>(St.NewStatesPerDepth[B]));
   }
-  if (Check.Opts.Snapshots == SnapshotPolicy::Hybrid)
-    std::printf("hybrid snapshots: %llu checkpoints (K=%u), %llu replayed "
-                "directives\n",
-                static_cast<unsigned long long>(
-                    Report.Exploration.Checkpoints),
-                Check.Opts.CheckpointInterval,
-                static_cast<unsigned long long>(
-                    Report.Exploration.ReplaySteps));
   if (Check.Minimization)
     std::printf("witness minimization: %llu -> %llu directives over %zu "
                 "witness(es), %llu replays%s\n",

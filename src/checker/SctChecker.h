@@ -19,15 +19,15 @@
 ///   - `v4Mode()`     — speculation bound 20, forwarding-hazard
 ///     detection on (adds Spectre v4 / stale forwards).
 ///
-/// Both presets leave the engine knobs (`Threads`, `Shards`, `PruneSeen`,
-/// `Snapshots`) at their defaults; callers tune them on the returned
-/// ExplorerOptions before checking.
+/// Both presets leave the engine knobs (`Threads`, `PruneSeen`) at their
+/// defaults; callers tune them on the returned ExplorerOptions before
+/// checking.
 ///
 /// **Thread-safety and determinism.**  The free functions here are
 /// stateless: they build a fresh CheckSession per call and may run
 /// concurrently on distinct or identical programs.  The verdict
 /// (`secure()`) and the deduplicated leak set of a report are independent
-/// of `Threads`/`Shards`/`PruneSeen`/`Snapshots`; exploration counters
+/// of `Threads`/`PruneSeen`; exploration counters
 /// are reproducible exactly whenever `Threads <= 1` — pruned (the
 /// default) or not — and additionally N-independent with `PruneSeen` off
 /// (the engine's determinism contract, sched/ScheduleExplorer.h).

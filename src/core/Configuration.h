@@ -85,8 +85,7 @@ struct Configuration {
 
   /// Recomputes hash() by walking every register, cell, buffer entry, and
   /// journal entry — the verification oracle for the incremental
-  /// fingerprints (tests/HashEquivalenceTest.cpp), and the cost model for
-  /// the pre-incremental engine (bench/StepRateBench.cpp's baseline mode).
+  /// fingerprints (tests/HashEquivalenceTest.cpp).
   uint64_t hashFromScratch() const;
 
   /// Remap-aware fingerprint: every program point — the fetch point, the

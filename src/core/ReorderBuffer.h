@@ -70,9 +70,10 @@
 ///    tests/HashEquivalenceTest.cpp pins this under TSan).
 ///
 /// The const hash() overload recomputes pending contributions on the fly
-/// and performs **no writes at all** — frozen checkpoints hash
-/// concurrently from many threads, in O(1) once fully folded.  The
-/// non-const overload folds first so repeated probes stay O(1).
+/// and performs **no writes at all** — shared configurations (such as
+/// the minimizer's replay rungs) hash concurrently from many threads, in
+/// O(1) once fully folded.  The non-const overload folds first so
+/// repeated probes stay O(1).
 /// hashFromScratch() is the O(n) oracle; `hash() == hashFromScratch()`
 /// after every mutation is property-tested in
 /// tests/HashEquivalenceTest.cpp, and invariant 4 in docs/ARCHITECTURE.md

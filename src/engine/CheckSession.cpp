@@ -59,15 +59,6 @@ CheckResult CheckSession::runOne(const CheckRequest &Req,
     // Inconclusive: fall through to the ordinary exploration.
   }
 
-  MinimizeOptions MinOpts = Passes.Minimize;
-  // The minimizer seeds its ddmin replays from the explorer's hybrid
-  // checkpoints; chain them up (LeakRecord::Ckpt) whenever minimization
-  // will consume them.  Copy/Replay explorations have no checkpoints —
-  // the minimizer then builds its ladder from scratch.
-  if (Passes.MinimizeWitnesses && MinOpts.SeedReplays &&
-      Res.Opts.Snapshots == SnapshotPolicy::Hybrid)
-    Res.Opts.RecordCheckpointChain = true;
-
   auto T0 = std::chrono::steady_clock::now();
   Res.Exploration = explore(M, Init, Res.Opts);
   auto T1 = std::chrono::steady_clock::now();
@@ -80,6 +71,7 @@ CheckResult CheckSession::runOne(const CheckRequest &Req,
   // this check's frontier share, so one `--threads N` budget governs both
   // phases.
   if (Passes.MinimizeWitnesses) {
+    MinimizeOptions MinOpts = Passes.Minimize;
     if (MinOpts.Threads == 0)
       MinOpts.Threads = Res.Opts.Threads ? Res.Opts.Threads : 1;
     Res.Minimization =

@@ -24,10 +24,9 @@
 /// with W session threads and N programs, min(W, N) programs run
 /// concurrently and each gets max(1, W / min(W, N)) frontier workers.
 /// Within one check, frontier-level parallelism is the work-stealing
-/// sharded engine of sched/ScheduleExplorer.h; its `Shards` and
-/// `PruneSeen` knobs ride in through `CheckRequest::Opts` (or the session
-/// defaults, which the flag table in engine/SessionArgs.h fills from
-/// `--shards` / `--prune-seen`).
+/// sharded engine of sched/ScheduleExplorer.h; its `PruneSeen` knob rides
+/// in through `CheckRequest::Opts` (or the session defaults, which the
+/// flag table in engine/SessionArgs.h fills from `--prune-seen`).
 ///
 /// **The audit service.**  Two session knobs turn checkMany into a
 /// persistent audit service (docs/ARCHITECTURE.md, "life of a cached
@@ -56,11 +55,11 @@
 /// **Determinism.**  A check with Threads <= 1 (session and request) is
 /// fully reproducible, counters included.  With parallelism anywhere, the
 /// deduplicated leak set of every result is still independent of thread
-/// count, sharding, and snapshot policies — the engine's contract
-/// (sched/ScheduleExplorer.h); wall-clock `Seconds` and, under PruneSeen,
-/// step counters are the only racy quantities.  The same contract is what
-/// lets the cache fingerprint exclude Threads/Shards: a cached verdict is
-/// valid at any thread count (counters are the stored run's).
+/// count — the engine's contract (sched/ScheduleExplorer.h); wall-clock
+/// `Seconds` and, under PruneSeen, step counters are the only racy
+/// quantities.  The same contract is what lets the cache fingerprint
+/// exclude Threads: a cached verdict is valid at any thread count
+/// (counters are the stored run's).
 ///
 /// Layering: isa → core → sched → engine → checker → workloads.  The
 /// checkers and every bench/example driver sit on top of this seam;
@@ -247,12 +246,14 @@ private:
 };
 
 /// Session options for a CLI driver, parsed by the declarative flag table
-/// in engine/SessionArgs.h (`--threads`, `--shards`, `--prune-seen` /
-/// `--no-prune-seen`, `--checkpoint-interval`, the `--minimize-*` family,
-/// `--prove-sps` / `--sps-max-tapes`, `--cache-dir`, `--workers`, ...),
+/// in engine/SessionArgs.h (`--threads`, `--prune-seen` /
+/// `--no-prune-seen`, the `--minimize-*` family, `--prove-sps` /
+/// `--sps-max-tapes`, `--cache-dir`, `--workers`, ...),
 /// defaulting the thread budget to the hardware concurrency.  Unknown
 /// arguments are ignored — drivers with their own flags use
-/// parseSessionArgs to see what was consumed.  Shared by the bench mains.
+/// parseSessionArgs to see what was consumed.  A malformed flag value
+/// prints an error naming the flag and exits with status 2.  Shared by
+/// the bench mains.
 SessionOptions sessionOptionsFromArgs(int Argc, char **Argv);
 
 } // namespace sct

@@ -239,8 +239,6 @@ void writeLeakRecord(ByteWriter &W, const LeakRecord &L) {
   W.u32(L.Origin);
   W.u8(static_cast<uint8_t>(L.Rule));
   writeSchedule(W, L.MinSched);
-  // LeakRecord::Ckpt is a replay seed, not part of the verdict; it stays
-  // runtime-only (see the file comment in Serialization.h).
 }
 
 bool readLeakRecord(ByteReader &R, LeakRecord &L) {
@@ -413,8 +411,6 @@ void writeExploreResult(ByteWriter &W, const ExploreResult &E) {
   W.u64(E.TotalSteps);
   W.u64(E.PrunedNodes);
   W.u64(E.Steals);
-  W.u64(E.ReplaySteps);
-  W.u64(E.Checkpoints);
   W.u64(E.ReusePrunedNodes);
   W.u64(E.ConfigsForked);
   W.u64(E.RobBytesCopied);
@@ -438,8 +434,6 @@ bool readExploreResult(ByteReader &R, ExploreResult &E) {
   E.TotalSteps = R.u64();
   E.PrunedNodes = R.u64();
   E.Steals = R.u64();
-  E.ReplaySteps = R.u64();
-  E.Checkpoints = R.u64();
   E.ReusePrunedNodes = R.u64();
   E.ConfigsForked = R.u64();
   E.RobBytesCopied = R.u64();
@@ -574,14 +568,9 @@ void sct::writeExplorerOptions(ByteWriter &W, const ExplorerOptions &O) {
   W.u64(O.MaxLeaks);
   W.b(O.StopAtFirstLeak);
   W.u32(O.Threads);
-  W.u8(static_cast<uint8_t>(O.Snapshots));
-  W.u32(O.CheckpointInterval);
-  W.u32(O.Shards);
-  W.b(O.RecordCheckpointChain);
   W.b(O.PruneSeen);
   W.b(O.ExportSeenStates);
   // `Reuse` is a live table handle, not data; wireable() gates it out.
-  W.b(O.FromScratchHashing);
   W.b(O.CollectStats);
 }
 
@@ -605,16 +594,8 @@ bool sct::readExplorerOptions(ByteReader &R, ExplorerOptions &O) {
   O.MaxLeaks = static_cast<size_t>(R.u64());
   O.StopAtFirstLeak = R.b();
   O.Threads = R.u32();
-  uint8_t Snap = R.u8();
-  if (!R.ok() || Snap > static_cast<uint8_t>(SnapshotPolicy::Hybrid))
-    return false;
-  O.Snapshots = static_cast<SnapshotPolicy>(Snap);
-  O.CheckpointInterval = R.u32();
-  O.Shards = R.u32();
-  O.RecordCheckpointChain = R.b();
   O.PruneSeen = R.b();
   O.ExportSeenStates = R.b();
-  O.FromScratchHashing = R.b();
   O.CollectStats = R.b();
   return R.ok();
 }
@@ -723,14 +704,12 @@ uint64_t sct::programHash(const Program &P) {
 uint64_t sct::optionsFingerprint(const ExplorerOptions &EOpts,
                                  const MachineOptions &MOpts,
                                  const PassConfig &Passes) {
-  // Normalize the execution knobs the determinism contract proves
-  // irrelevant to the verdict: thread count and frontier sharding.
-  // Everything else — budgets, attacker power, snapshot policy, pass
-  // configuration — is behavior-affecting and must stay in (the cache-key
-  // completeness invariant, docs/ARCHITECTURE.md).
+  // Normalize the execution knob the determinism contract proves
+  // irrelevant to the verdict: thread count.  Everything else — budgets,
+  // attacker power, pass configuration — is behavior-affecting and must
+  // stay in (the cache-key completeness invariant, docs/ARCHITECTURE.md).
   ExplorerOptions Norm = EOpts;
   Norm.Threads = 0;
-  Norm.Shards = 0;
   ByteWriter W;
   W.u32(SerializationFormatVersion);
   writeExplorerOptions(W, Norm);

@@ -25,11 +25,11 @@
 /// every instruction field including pre-resolved successors), and
 /// re-serializing the round-tripped value yields byte-identical output —
 /// the property tests/SerializationTest.cpp holds over the random-program
-/// generator.  Three runtime-only fields are deliberately outside the
-/// format: `LeakRecord::Ckpt` (replay seeds), `ExploreResult::SeenExport`,
-/// and `ExplorerOptions::Reuse` (both cross-exploration table handles).
-/// Requests carrying the latter two (or a custom `Init`) are not
-/// `wireable()` and never reach the cache or a worker.
+/// generator.  Two runtime-only fields are deliberately outside the
+/// format: `ExploreResult::SeenExport` and `ExplorerOptions::Reuse` (both
+/// cross-exploration table handles).  Requests carrying them (or a
+/// custom `Init`) are not `wireable()` and never reach the cache or a
+/// worker.
 ///
 /// **Versioning.**  Every top-level payload starts with
 /// `SerializationFormatVersion`; readers reject other versions (a
@@ -47,7 +47,7 @@
 namespace sct {
 
 /// Bump on any wire/cache format change.
-inline constexpr uint32_t SerializationFormatVersion = 2;
+inline constexpr uint32_t SerializationFormatVersion = 3;
 
 /// Field-level writers/readers (no version header; compose into the
 /// top-level payloads below).  Readers return false / disengaged on

@@ -2,8 +2,13 @@
 
 #include "engine/SessionArgs.h"
 
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -11,11 +16,40 @@ using namespace sct;
 
 namespace {
 
-unsigned asUnsigned(const char *V) {
-  return static_cast<unsigned>(std::atoi(V));
+/// Thread and process counts above this are typos (or a negative number
+/// read as unsigned), not budgets: each one spawns an OS thread/process.
+constexpr uint64_t MaxWorkers = 1024;
+
+/// Value parsers throw std::invalid_argument; parseSessionArgs prefixes
+/// the flag name.
+[[noreturn]] void badValue(const char *V, const std::string &Expected) {
+  throw std::invalid_argument(std::string("invalid value '") + V +
+                              "' (expected " + Expected + ")");
+}
+
+/// Parses all of \p V as a decimal integer in [0, Max].
+uint64_t asCount(const char *V, uint64_t Max) {
+  uint64_t N = 0;
+  const char *End = V + std::strlen(V);
+  auto [Ptr, Ec] = std::from_chars(V, End, N);
+  if (Ec != std::errc() || Ptr != End || N > Max)
+    badValue(V, "an integer in [0, " + std::to_string(Max) + "]");
+  return N;
+}
+unsigned asWorkers(const char *V) {
+  return static_cast<unsigned>(asCount(V, MaxWorkers));
 }
 uint64_t asU64(const char *V) {
-  return static_cast<uint64_t>(std::atoll(V));
+  return asCount(V, std::numeric_limits<uint64_t>::max());
+}
+/// Parses all of \p V as a finite, non-negative number of seconds.
+double asSeconds(const char *V) {
+  double D = 0;
+  const char *End = V + std::strlen(V);
+  auto [Ptr, Ec] = std::from_chars(V, End, D);
+  if (Ec != std::errc() || Ptr != End || !std::isfinite(D) || D < 0)
+    badValue(V, "a non-negative number of seconds");
+  return D;
 }
 
 // The one place a session flag is declared.  Rows parse *and* document:
@@ -23,22 +57,11 @@ uint64_t asU64(const char *V) {
 // Apply.  Keep Doc to one line — it becomes one help row.
 constexpr SessionFlag Flags[] = {
     {"--threads", "N", "engine worker threads (default: hardware concurrency)",
-     [](SessionOptions &O, const char *V) { O.Threads = asUnsigned(V); }},
-    {"--shards", "N",
-     "frontier shards (default: one per worker; 1 = shared frontier)",
-     [](SessionOptions &O, const char *V) {
-       O.DefaultOpts.Shards = asUnsigned(V);
-     }},
+     [](SessionOptions &O, const char *V) { O.Threads = asWorkers(V); }},
     {"--prune-seen", nullptr, "enable seen-state pruning (the default)",
      [](SessionOptions &O, const char *) { O.DefaultOpts.PruneSeen = true; }},
     {"--no-prune-seen", nullptr, "disable cross-schedule seen-state pruning",
      [](SessionOptions &O, const char *) { O.DefaultOpts.PruneSeen = false; }},
-    {"--checkpoint-interval", "K",
-     "hybrid snapshots: shared checkpoint every K directives",
-     [](SessionOptions &O, const char *V) {
-       O.DefaultOpts.Snapshots = SnapshotPolicy::Hybrid;
-       O.DefaultOpts.CheckpointInterval = asUnsigned(V);
-     }},
     {"--minimize-witnesses", nullptr,
      "delta-debug witnesses to minimal attack schedules",
      [](SessionOptions &O, const char *) {
@@ -51,7 +74,7 @@ constexpr SessionFlag Flags[] = {
     {"--minimize-threads", "N",
      "minimization worker threads (0 = the check's frontier share)",
      [](SessionOptions &O, const char *V) {
-       O.Passes.Minimize.Threads = asUnsigned(V);
+       O.Passes.Minimize.Threads = asWorkers(V);
      }},
     {"--no-slice-excursions", nullptr, "disable the excursion slice pass",
      [](SessionOptions &O, const char *) {
@@ -82,14 +105,14 @@ constexpr SessionFlag Flags[] = {
      "persistent result cache: serve unchanged checks from DIR",
      [](SessionOptions &O, const char *V) { O.CacheDir = V; }},
     {"--workers", "N", "dispatch checkMany to N sctworker processes",
-     [](SessionOptions &O, const char *V) { O.Workers = asUnsigned(V); }},
+     [](SessionOptions &O, const char *V) { O.Workers = asWorkers(V); }},
     {"--worker-bin", "PATH",
      "worker binary (default: sctworker beside this executable)",
      [](SessionOptions &O, const char *V) { O.WorkerBinary = V; }},
     {"--worker-timeout", "SEC",
      "kill a worker past SEC seconds on one request; re-run in-process",
      [](SessionOptions &O, const char *V) {
-       O.WorkerTimeoutSec = std::atof(V);
+       O.WorkerTimeoutSec = asSeconds(V);
      }},
 };
 
@@ -107,10 +130,15 @@ SessionArgs sct::parseSessionArgs(int Argc, char **Argv) {
         continue;
       if (F.Arg) {
         if (I + 1 >= Argc)
-          break; // Trailing flag without its value: leave it unconsumed.
+          throw std::invalid_argument(std::string(F.Name) + ": missing value " +
+                                      F.Arg);
         Parsed.Consumed[static_cast<size_t>(I)] = true;
         ++I;
-        F.Apply(Parsed.Opts, Argv[I]);
+        try {
+          F.Apply(Parsed.Opts, Argv[I]);
+        } catch (const std::invalid_argument &E) {
+          throw std::invalid_argument(std::string(F.Name) + ": " + E.what());
+        }
       } else {
         F.Apply(Parsed.Opts, nullptr);
       }
@@ -142,5 +170,10 @@ std::string sct::sessionFlagsHelp() {
 }
 
 SessionOptions sct::sessionOptionsFromArgs(int Argc, char **Argv) {
-  return parseSessionArgs(Argc, Argv).Opts;
+  try {
+    return parseSessionArgs(Argc, Argv).Opts;
+  } catch (const std::invalid_argument &E) {
+    std::fprintf(stderr, "error: %s\n", E.what());
+    std::exit(2);
+  }
 }

@@ -22,6 +22,7 @@
 #include "engine/CheckSession.h"
 
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 namespace sct {
@@ -55,6 +56,10 @@ struct SessionArgs {
 /// Parses every table flag out of argv into fresh SessionOptions
 /// (thread budget defaulted to the hardware concurrency), marking the
 /// consumed slots.  Unknown arguments are left untouched for the driver.
+/// A numeric value must be a whole decimal number within the flag's range
+/// (thread and process counts at most 1024, timeouts finite and
+/// non-negative); a bad value, or a value-taking flag with nothing after
+/// it, throws std::invalid_argument whose message names the flag.
 SessionArgs parseSessionArgs(int Argc, char **Argv);
 
 /// Help text generated from the table: one aligned "  --flag ARG  doc"

@@ -1,12 +1,12 @@
 //===- engine/WitnessMinimizer.cpp - Minimal leak witnesses -----------------===//
 //
 // Slice + ddmin over directive schedules with buffer-index repair and
-// checkpoint-seeded replays.  The only oracle is strict replay: a
+// rung-seeded replays.  The only oracle is strict replay: a
 // candidate reproduces iff stepping it reaches a secret observation with
 // the original leak's key (origin, kind, rule, taint mask), and the
 // adopted schedule is always the replayed-and-truncated one — so whatever
 // the heuristics propose, the result is a valid witness by construction.
-// Seeding only changes where a replay starts (a checkpointed state of the
+// Seeding only changes where a replay starts (a recorded state of the
 // candidate's unedited prefix), never what it concludes.
 //
 //===----------------------------------------------------------------------===//
@@ -37,15 +37,9 @@ public:
     Schedule Kept;
     std::vector<AllocInfo> KA;
     // The seeding replay: full-length, from the initial configuration —
-    // it must compute every position's allocation record, which no
-    // checkpoint carries.  Its rungs (recorded along the *kept* prefix)
-    // and the explorer's checkpoint chain seed everything after.
-    if (Opts.SeedReplays)
-      for (std::shared_ptr<const Checkpoint> C = L.Ckpt; C; C = C->Prev)
-        if (C->Len > 0 && C->Len < Raw.size())
-          ChainRungs.emplace(C->Len, C);
+    // it must compute every position's allocation record.  Its rungs
+    // (recorded along the *kept* prefix) seed everything after.
     bool Seeded = evaluate(Raw, Kept, KA);
-    ChainRungs.clear();
     if (Seeded) {
       adopt(std::move(Kept), std::move(KA));
       for (unsigned Outer = 0; Outer < Opts.MaxPasses; ++Outer) {
@@ -129,7 +123,7 @@ private:
   /// evaluate()'s per-position hashes for the candidate it just accepted;
   /// adopt() promotes it to CurPosHash.
   std::vector<uint64_t> EvalHash;
-  /// Checkpoints along Cur's prefix, keyed by prefix length.  Invariant:
+  /// Recorded states along Cur's prefix, keyed by prefix length.  Invariant:
   /// every rung's state is what Cur[0, Len) strictly replays to — rungs
   /// above an adopted candidate's first edit are erased, and new rungs
   /// are recorded only while a candidate's unedited prefix replays.
@@ -177,15 +171,6 @@ private:
     CurPosHash = std::move(EvalHash);
     Rungs.erase(Rungs.upper_bound(LastEdit), Rungs.end());
   }
-
-  /// The explorer's hybrid checkpoint chain (LeakRecord::Ckpt), indexed
-  /// by prefix length while the seeding replay runs.  Each rung claims to
-  /// be the state Raw[0, Len) replays to; the seeding replay *verifies*
-  /// that claim by hash as it passes Len and only then adopts the rung
-  /// (sharing the checkpoint's configuration, no copy).  A stale chain —
-  /// a caller pairing a rewritten Sched with the old Ckpt — is thereby
-  /// detected and ignored instead of corrupting seeded replays.
-  std::map<size_t, std::shared_ptr<const Checkpoint>> ChainRungs;
 
   /// Replays \p Cand leniently: inapplicable directives are skipped, not
   /// fatal, so the candidate is garbage-collected as it runs (a deleted
@@ -262,16 +247,6 @@ private:
     size_t NextRung = SeedLen + K;
     for (size_t Pos = SeedLen; Pos < Cand.size(); ++Pos) {
       const Directive &D = Cand[Pos];
-      // Adopt an explorer checkpoint once the seeding replay proves it:
-      // the chain rung at this prefix length must hash-match the state
-      // the prefix actually replays to (the aliasing share keeps the
-      // checkpoint alive, costs no copy).
-      if (!ChainRungs.empty() && Pos == Kept.size()) {
-        auto It = ChainRungs.find(Kept.size());
-        if (It != ChainRungs.end() && It->second->Config.hash() == C.hash())
-          Rungs.emplace(Kept.size(), std::shared_ptr<const Configuration>(
-                                         It->second, &It->second->Config));
-      }
       // Densify the ladder while the unedited prefix replays: here the
       // state is exactly what Cur[0, Kept.size()) reaches, valid as a
       // rung no matter how this candidate ends.  (During the seeding

@@ -56,14 +56,12 @@
 /// so minimization is idempotent (minimizing a minimized witness returns
 /// it unchanged), budget permitting.
 ///
-/// **Checkpoint-seeded replays.**  Every candidate differs from the
-/// current schedule only from its first edited position onward, so the
-/// replay needs the state *at* that position, not a walk from the initial
-/// configuration.  The minimizer keeps a ladder of mid-schedule
-/// checkpoints — seeded by the explorer's `SnapshotPolicy::Hybrid`
-/// checkpoint chain threaded through `LeakRecord::Ckpt`, and densified
-/// lazily with rungs recorded every `MinimizeOptions::SeedInterval` kept
-/// directives while prefixes replay — and starts each candidate replay
+/// **Rung-seeded replays.**  Every candidate differs from the current
+/// schedule only from its first edited position onward, so the replay
+/// needs the state *at* that position, not a walk from the initial
+/// configuration.  The minimizer keeps a ladder of mid-schedule states —
+/// rungs recorded every `MinimizeOptions::SeedInterval` kept directives
+/// while prefixes replay — and starts each candidate replay
 /// from the newest rung at or below the candidate's first edit (the
 /// prefix-validity bar: a rung is only used when the candidate has not
 /// edited any directive at or before it; rungs above an adopted edit are
@@ -134,9 +132,9 @@ struct MinimizeOptions {
   /// bloated witnesses (same leak key; never longer; idempotence
   /// preserved by the restore).
   bool SlicePolish = true;
-  /// Seed candidate replays from mid-schedule checkpoints (the explorer's
-  /// hybrid chain via `LeakRecord::Ckpt` plus self-recorded rungs)
-  /// instead of always replaying from the initial configuration.  Off
+  /// Seed candidate replays from mid-schedule rungs the minimizer records
+  /// along its own replays instead of always replaying from the initial
+  /// configuration.  Off
   /// reproduces the from-initial replay cost exactly; the minimized
   /// schedules are identical either way.
   bool SeedReplays = true;
@@ -168,7 +166,7 @@ struct MinimizeOptions {
   bool MemoizeCandidates = true;
   /// Record a ladder rung every this many kept directives while a
   /// candidate's unedited prefix replays (0 is treated as 1).  Smaller =
-  /// denser seeding, more checkpoint copies; the default follows the
+  /// denser seeding, more state copies; the default follows the
   /// committed BENCH_MINIMIZER.json sweep.
   unsigned SeedInterval = 4;
   /// Worker threads for `minimizeWitnesses` batches: 0 or 1 minimizes
@@ -192,7 +190,7 @@ struct MinimizeStats {
   uint64_t Replays = 0;
   /// Machine steps actually executed across all candidate replays.
   uint64_t ReplayedSteps = 0;
-  /// Directives checkpoint seeding skipped instead of re-executing (the
+  /// Directives rung seeding skipped instead of re-executing (the
   /// from-initial baseline would have replayed these too).
   uint64_t SeededSteps = 0;
   /// Wrong-path excursions removed by the slice pass.

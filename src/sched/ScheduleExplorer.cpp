@@ -1,23 +1,17 @@
 //===- sched/ScheduleExplorer.cpp - Worst-case schedule exploration ---------===//
 //
 // The exploration engine: an explicit work queue of ExploreNodes (schedule
-// prefix + snapshot) drained by worker threads.  A worker pops a node,
-// materialises its configuration (moving the stored snapshot out, or
-// replaying directives — the whole prefix from the initial configuration
-// under SnapshotPolicy::Replay, the tail past a shared checkpoint under
-// SnapshotPolicy::Hybrid), and runs the path forward.  Decision points (Definition B.18's schedule-set
-// forks) do not recurse: the fork's probed configuration becomes a new
-// node, the worker switches to the first fork and pushes the rest plus its
-// own continuation, which for a single worker reproduces the legacy
-// depth-first order exactly.
+// prefix + forked configuration) drained by worker threads.  A worker pops
+// a node, moves its configuration out, and runs the path forward.
+// Decision points (Definition B.18's schedule-set forks) do not recurse:
+// the fork's probed configuration becomes a new node, the worker switches
+// to the first fork and pushes the rest plus its own continuation, which
+// for a single worker reproduces the legacy depth-first order exactly.
 //
-// Three drain modes share the path-running code:
+// Two drain modes share the path-running code:
 //  - Threads <= 1: the frontier is a plain vector drained LIFO on the
 //    calling thread — the deterministic legacy order.
-//  - Threads > 1, Shards == 1: one mutex+condvar-guarded frontier shared
-//    by all workers (the pre-sharding engine, kept as the contention
-//    baseline for bench/ContentionBench.cpp).
-//  - Threads > 1 otherwise: per-worker work-stealing deques
+//  - Threads > 1: per-worker work-stealing deques
 //    (sched/WorkDeque.h); owners pop LIFO, thieves steal the oldest half
 //    of a random victim.  Termination is a global in-flight count: nodes
 //    queued plus paths running; when it hits zero no work exists or can
@@ -39,10 +33,8 @@
 #include "sched/SeenStates.h"
 #include "sched/WorkDeque.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -55,11 +47,10 @@ namespace {
 
 /// ExportSeenStates bookkeeping: the fingerprints a path claimed, as a
 /// persistent cons-list shared between a path and everything forked from
-/// it (the Checkpoint::Prev pattern) — fork inheritance is a pointer
-/// copy, not an O(depth) vector copy.  `Marked` lets the leaky-below
-/// walk stop at the first node a previous walk already poisoned: a
-/// marked node's ancestors are marked too, so total marking work is
-/// linear in distinct claims.
+/// it — fork inheritance is a pointer copy, not an O(depth) vector copy.
+/// `Marked` lets the leaky-below walk stop at the first node a previous
+/// walk already poisoned: a marked node's ancestors are marked too, so
+/// total marking work is linear in distinct claims.
 struct ClaimNode {
   ClaimNode(uint64_t Fp, std::shared_ptr<const ClaimNode> Prev)
       : Fp(Fp), Prev(std::move(Prev)) {}
@@ -122,39 +113,23 @@ private:
   std::vector<Pool> Pools;
 };
 
-/// Appends the directives at positions [From, end) of the schedule
-/// represented by \p Prefix + \p Suffix onto \p Out.
-void flattenFrom(const SchedChain *Prefix, const Schedule &Suffix,
-                 size_t From, Schedule &Out) {
-  // Chain nodes newest-first, stopping at the first that ends at or
-  // before From (its ancestors end even earlier).
-  std::vector<const SchedChain *> Nodes;
-  for (const SchedChain *N = Prefix; N && N->endLen() > From; N = N->Parent)
+/// Appends the schedule represented by \p Prefix + \p Suffix onto \p Out.
+void flatten(const SchedChain *Prefix, const Schedule &Suffix, Schedule &Out) {
+  std::vector<const SchedChain *> Nodes; // Newest first.
+  for (const SchedChain *N = Prefix; N; N = N->Parent)
     Nodes.push_back(N);
-  for (auto It = Nodes.rbegin(); It != Nodes.rend(); ++It) {
-    const SchedChain *N = *It;
-    size_t Skip = From > N->StartLen ? From - N->StartLen : 0;
-    Out.insert(Out.end(), N->Seg.begin() + Skip, N->Seg.end());
-  }
-  size_t SufStart = Prefix ? Prefix->endLen() : 0;
-  size_t Skip = From > SufStart ? From - SufStart : 0;
-  Out.insert(Out.end(), Suffix.begin() + Skip, Suffix.end());
+  for (auto It = Nodes.rbegin(); It != Nodes.rend(); ++It)
+    Out.insert(Out.end(), (*It)->Seg.begin(), (*It)->Seg.end());
+  Out.insert(Out.end(), Suffix.begin(), Suffix.end());
 }
 
 /// One frontier entry: a point in the schedule tree still to be explored.
 struct ExploreNode {
-  /// The configuration at this point (engaged under SnapshotPolicy::Copy).
-  std::optional<Configuration> Snap;
-  /// Hybrid snapshots: the nearest published checkpoint, shared between
-  /// every node forked from the same stretch of path; Base->Len of
-  /// Sched's directives are already applied in it.  Materialization
-  /// replays only Sched[Base->Len..] from Base->Config.  Null under
-  /// Copy/Replay (Replay re-derives from the initial configuration).
-  std::shared_ptr<const Checkpoint> Base;
-  /// Directive prefix reaching this point (always kept — it is both the
-  /// witness prefix and, under SnapshotPolicy::Replay/Hybrid, the
-  /// (remainder of the) snapshot): the sealed chain up to the last fork
-  /// point plus the directives issued since.
+  /// The configuration at this point.
+  Configuration C;
+  /// Directive prefix reaching this point (the witness prefix): the
+  /// sealed chain up to the last fork point plus the directives issued
+  /// since.
   const SchedChain *Prefix = nullptr;
   Schedule Suffix;
   /// Steps spent on this path (per-schedule budget accounting).
@@ -168,26 +143,19 @@ struct ExploreNode {
 /// The work-queue exploration engine.
 class Engine {
 public:
-  Engine(const Machine &M, const ExplorerOptions &Opts, Configuration Init)
-      : M(M), P(M.program()), Opts(Opts), Init(std::move(Init)),
+  Engine(const Machine &M, const ExplorerOptions &Opts)
+      : M(M), P(M.program()), Opts(Opts),
         NumWorkers(Opts.Threads > 1 ? Opts.Threads : 1),
-        Stealing(NumWorkers > 1 && Opts.Shards != 1),
-        // Deques beyond the worker count could never be pushed to
-        // (homeOf maps workers round-robin), so extra shards would only
-        // add dead steal probes: clamp to the worker count.
-        Deques(Stealing ? std::min(Opts.Shards ? Opts.Shards : NumWorkers,
-                                   NumWorkers)
-                        : 1),
-        Workers(NumWorkers) {
+        Deques(NumWorkers > 1 ? NumWorkers : 0), Workers(NumWorkers) {
     if (Opts.ExportSeenStates)
       Export = std::make_shared<SeenStateExport>();
   }
 
-  ExploreResult run() {
+  ExploreResult run(Configuration Init) {
     {
       ExploreNode Root;
-      Root.Snap = Init;
-      if (Stealing) {
+      Root.C = std::move(Init);
+      if (NumWorkers > 1) {
         InFlight.fetch_add(1);
         Deques.push(0, std::move(Root));
       } else {
@@ -200,12 +168,7 @@ public:
       std::vector<std::thread> Pool;
       Pool.reserve(NumWorkers);
       for (unsigned Id = 0; Id < NumWorkers; ++Id)
-        Pool.emplace_back([this, Id] {
-          if (Stealing)
-            workerLoopStealing(Id);
-          else
-            workerLoopShared(Id);
-        });
+        Pool.emplace_back([this, Id] { workerLoopStealing(Id); });
       for (std::thread &T : Pool)
         T.join();
     }
@@ -235,10 +198,6 @@ private:
     size_t schedLen() const {
       return (Prefix ? Prefix->endLen() : 0) + Suffix.size();
     }
-    /// Hybrid snapshots: the checkpoint this path (and every node it
-    /// forks) replays from, refreshed by runPath once the path has moved
-    /// CheckpointInterval directives past it.
-    std::shared_ptr<const Checkpoint> Base;
     /// ExportSeenStates only: fingerprints claimed along this path (see
     /// ExploreNode::Claims); forks share the trail by pointer.
     ClaimTrail Claims;
@@ -262,22 +221,17 @@ private:
   const Machine &M;
   const Program &P;
   const ExplorerOptions &Opts;
-  const Configuration Init;
   const unsigned NumWorkers;
-  const bool Stealing;
 
-  // Sharded frontier (work-stealing mode).
+  // Sharded frontier (Threads > 1): one work-stealing deque per worker.
   StealQueue<ExploreNode> Deques;
   /// Nodes queued in any deque plus paths currently being run.  Zero
   /// means exploration is complete: no node exists and no running path
   /// can create one.
   std::atomic<uint64_t> InFlight{0};
 
-  // Single frontier, shared under QMu (sequential + shared modes).
+  // Plain LIFO frontier (Threads <= 1).
   std::vector<ExploreNode> Frontier;
-  std::mutex QMu;
-  std::condition_variable QCv;
-  unsigned Busy = 0;
 
   // Shared tallies and stop signals.
   std::atomic<uint64_t> TotalSteps{0};
@@ -285,8 +239,6 @@ private:
   std::atomic<uint64_t> SchedulesCompleted{0};
   std::atomic<uint64_t> PrunedNodes{0};
   std::atomic<uint64_t> Steals{0};
-  std::atomic<uint64_t> ReplaySteps{0};
-  std::atomic<uint64_t> Checkpoints{0};
   std::atomic<uint64_t> ConfigsForked{0};
   std::atomic<uint64_t> RobBytesCopied{0};
   std::atomic<uint64_t> RobBytesFlat{0};
@@ -338,18 +290,6 @@ private:
   std::atomic<uint64_t> ForkNew{0};
   std::atomic<uint64_t> ForkDup{0};
 
-  /// The fingerprint probed at fork-filter and convergence sites.
-  /// FromScratchHashing swaps in the full-walk oracle — bit-identical
-  /// values (tests/HashEquivalenceTest.cpp), so leak sets and prunes
-  /// cannot differ; only the cost does.  This is StepRateBench's
-  /// hashing-sensitivity knob.  Takes a mutable configuration so the
-  /// incremental path hits the memoizing hash() overload — probing
-  /// through a const reference would re-walk the reorder buffer's
-  /// pending entries at every probe instead of folding them once.
-  uint64_t stateHash(Configuration &C) const {
-    return Opts.FromScratchHashing ? C.hashFromScratch() : C.hash();
-  }
-
   /// CollectStats: tallies a first-visit state at schedule depth \p Depth
   /// into the owning worker's histogram.
   void noteNewState(unsigned WorkerId, size_t Depth) {
@@ -364,101 +304,39 @@ private:
 
   void enqueueNode(Path &&Pth) {
     ExploreNode N;
-    switch (Opts.Snapshots) {
-    case SnapshotPolicy::Copy:
-      N.Snap = std::move(Pth.C);
-      break;
-    case SnapshotPolicy::Replay:
-      break; // Prefix-only; materialize replays from Init.
-    case SnapshotPolicy::Hybrid:
-      // Share the path's checkpoint: materialization replays only the
-      // directives issued since it was published (bounded by the
-      // refresh in runPath plus a fork's few probing steps).
-      N.Base = Pth.Base;
-      break;
-    }
+    N.C = std::move(Pth.C);
     N.Prefix = Pth.Prefix;
     N.Suffix = std::move(Pth.Suffix);
     N.PathSteps = Pth.Steps;
     N.Claims = std::move(Pth.Claims);
-    unsigned WorkerId = Pth.WorkerId;
     if (NumWorkers == 1) {
       Frontier.push_back(std::move(N));
       return;
     }
-    if (Stealing) {
-      InFlight.fetch_add(1);
-      Deques.push(Deques.homeOf(WorkerId), std::move(N));
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> L(QMu);
-      Frontier.push_back(std::move(N));
-    }
-    QCv.notify_one();
+    InFlight.fetch_add(1);
+    Deques.push(Pth.WorkerId, std::move(N));
   }
 
-  /// Reconstructs the node's path.  Replay re-derives the configuration
-  /// by re-issuing directives — from the initial configuration under
-  /// SnapshotPolicy::Replay, from the node's shared checkpoint under
-  /// Hybrid.  Replayed steps do not count toward budgets and do not
-  /// re-record leaks (they were accounted when first taken).
+  /// Reconstructs the node's path: the node's configuration and schedule
+  /// move into it.
   Path materialize(ExploreNode &&N, unsigned WorkerId) {
     Path Pth;
-    Pth.WorkerId = WorkerId;
+    Pth.C = std::move(N.C);
+    Pth.Prefix = N.Prefix;
+    Pth.Suffix = std::move(N.Suffix);
     Pth.Steps = N.PathSteps;
     Pth.StepsFlushed = N.PathSteps; // Published before the node parked.
+    Pth.WorkerId = WorkerId;
     Pth.Claims = std::move(N.Claims);
-    Pth.Prefix = N.Prefix;
-    if (N.Snap) {
-      Pth.C = std::move(*N.Snap);
-      Pth.Suffix = std::move(N.Suffix);
-      return Pth;
-    }
-    size_t BaseLen = N.Base ? N.Base->Len : 0;
-    Pth.C = N.Base ? N.Base->Config : Init; // COW: O(1) until a side writes.
-    Pth.Base = std::move(N.Base);
-    Schedule Tail;
-    flattenFrom(N.Prefix, N.Suffix, BaseLen, Tail);
-    for (const Directive &D : Tail) {
-      [[maybe_unused]] auto Out = M.step(Pth.C, D);
-      assert(Out && "replay of an explored prefix cannot go stuck");
-    }
-    ReplaySteps.fetch_add(Tail.size(), std::memory_order_relaxed);
-    Pth.Suffix = std::move(N.Suffix);
     return Pth;
   }
 
-  /// Hybrid snapshots: once the path has issued CheckpointInterval
-  /// directives past its checkpoint, publish its current configuration as
-  /// the new one.  Every node forked from here on shares this checkpoint,
-  /// so materializing any of them replays at most ~K directives.
-  void refreshCheckpoint(Path &Pth) {
-    if (Opts.Snapshots != SnapshotPolicy::Hybrid)
-      return;
-    size_t K = Opts.CheckpointInterval ? Opts.CheckpointInterval : 1;
-    size_t Len = Pth.schedLen();
-    if (Pth.Base && Len - Pth.Base->Len < K)
-      return;
-    // Without RecordCheckpointChain the superseded checkpoint is dropped
-    // as soon as its last frontier referent dies (the PR 3 memory
-    // behavior); with it the chain stays alive so leak consumers can seed
-    // replays from any rung.
-    Pth.Base = std::make_shared<const Checkpoint>(Checkpoint{
-        Pth.C, Len, Opts.RecordCheckpointChain ? Pth.Base : nullptr});
-    Checkpoints.fetch_add(1, std::memory_order_relaxed);
-  }
-
+  /// Workers poll StopFlag between pops and inside runPath; no wakeup is
+  /// needed (idle stealing workers spin on yield/short sleeps).
   void stopAll(bool Truncated) {
     if (Truncated)
       TruncatedFlag.store(true, std::memory_order_relaxed);
     StopFlag.store(true, std::memory_order_relaxed);
-    if (NumWorkers > 1 && !Stealing) {
-      { std::lock_guard<std::mutex> L(QMu); }
-      QCv.notify_all();
-    }
-    // Stealing workers poll StopFlag between pops and inside runPath; no
-    // wakeup is needed (idle workers spin on yield/short sleeps).
   }
 
   bool stopped() const { return StopFlag.load(std::memory_order_relaxed); }
@@ -474,50 +352,19 @@ private:
     }
   }
 
-  /// The shared-frontier baseline: one mutex, one condvar, every pop and
-  /// push contends on QMu and sleepers wake through QCv.
-  void workerLoopShared(unsigned Id) {
-    std::unique_lock<std::mutex> L(QMu);
-    for (;;) {
-      if (stopped()) {
-        QCv.notify_all();
-        return;
-      }
-      if (!Frontier.empty()) {
-        ExploreNode N = std::move(Frontier.back());
-        Frontier.pop_back();
-        ++Busy;
-        L.unlock();
-        Path Pth = materialize(std::move(N), Id);
-        runPath(Pth);
-        L.lock();
-        --Busy;
-        if (Frontier.empty() && Busy == 0) {
-          QCv.notify_all();
-          return;
-        }
-        continue;
-      }
-      if (Busy == 0)
-        return;
-      QCv.wait(L);
-    }
-  }
-
   /// The work-stealing drain: pop the own deque LIFO; when dry, steal the
   /// oldest half of a random victim; when everything is dry, exit once
   /// the in-flight count proves no path can produce new nodes.
   void workerLoopStealing(unsigned Id) {
     std::minstd_rand Rng(Id * 0x9e3779b9u + 0x2545f491u);
-    unsigned Home = Deques.homeOf(Id);
     unsigned IdleRounds = 0;
     for (;;) {
       if (stopped())
         return;
       ExploreNode N;
-      bool Got = Deques.tryPop(Home, N);
+      bool Got = Deques.tryPop(Id, N);
       if (!Got) {
-        size_t Taken = Deques.trySteal(Home, static_cast<unsigned>(Rng()), N);
+        size_t Taken = Deques.trySteal(Id, static_cast<unsigned>(Rng()), N);
         if (Taken) {
           Steals.fetch_add(1, std::memory_order_relaxed);
           Got = true;
@@ -549,8 +396,6 @@ private:
     R.TotalSteps = TotalSteps.load();
     R.PrunedNodes = PrunedNodes.load();
     R.Steals = Steals.load();
-    R.ReplaySteps = ReplaySteps.load();
-    R.Checkpoints = Checkpoints.load();
     R.ReusePrunedNodes = ReusePruned.load();
     R.ConfigsForked = ConfigsForked.load();
     R.RobBytesCopied = RobBytesCopied.load();
@@ -634,7 +479,10 @@ private:
       if (Opts.PruneSeen) {
         if (Opts.CollectStats)
           ConvChecks.fetch_add(1, std::memory_order_relaxed);
-        Converged = seen().contains(stateHash(Pth.C));
+        // Probe through the mutable configuration: the memoizing hash()
+        // overload folds the reorder buffer's pending entries once, where
+        // the const one would re-walk them at every probe.
+        Converged = seen().contains(Pth.C.hash());
       }
       if (Converged) {
         if (Opts.CollectStats)
@@ -660,15 +508,8 @@ private:
     markLeakyTrail(Pth.Claims);
     Schedule Full;
     Full.reserve(Pth.schedLen());
-    flattenFrom(Pth.Prefix, Pth.Suffix, 0, Full);
+    flatten(Pth.Prefix, Pth.Suffix, Full);
     LeakRecord L{std::move(Full), Obs, Origin, Rule};
-    // Hand the minimizer the path's checkpoint chain: Sched[0, Ckpt->Len)
-    // replays Init to exactly Ckpt->Config, so candidate replays sharing
-    // that prefix can start mid-schedule.  Gated on the chain flag — a
-    // pinned checkpoint lives as long as the LeakRecord, and only a
-    // minimizing session consumes it.
-    if (Opts.RecordCheckpointChain)
-      L.Ckpt = Pth.Base;
     bool New;
     size_t Nth;
     {
@@ -769,7 +610,6 @@ private:
       flushSteps(Pth);
       if (stopped() || Pth.Dead)
         return;
-      refreshCheckpoint(Pth);
       if (TotalSteps.load(std::memory_order_relaxed) >= Opts.MaxTotalSteps ||
           SchedulesCompleted.load(std::memory_order_relaxed) >=
               Opts.MaxSchedules) {
@@ -814,7 +654,7 @@ private:
               continue;
             }
             if (Opts.PruneSeen) {
-              uint64_t H = stateHash(F.C);
+              uint64_t H = F.C.hash();
               if (!seen().insert(H)) {
                 if (Opts.CollectStats)
                   ForkDup.fetch_add(1, std::memory_order_relaxed);
@@ -842,7 +682,7 @@ private:
             Alive = false;
           }
           if (Alive && Opts.PruneSeen) {
-            uint64_t H = stateHash(Pth.C);
+            uint64_t H = Pth.C.hash();
             if (!seen().insert(H)) {
               // The fall-through continuation converged onto a visited
               // state; its subtree is owned elsewhere.
@@ -908,9 +748,8 @@ private:
       // seen-table hashes of this fork, its siblings, and the parent all
       // reuse one folding pass instead of each recomputing the shared
       // entries' contributions.  Folding is internal state only — every
-      // hash value is identical either way.  Skipped when the incremental
-      // fingerprint is unused (from-scratch mode folds for nothing).
-      if (Opts.PruneSeen && !Opts.FromScratchHashing)
+      // hash value is identical either way.
+      if (Opts.PruneSeen)
         Pth.C.Buf.foldPending();
       Path F;
       F.C = Pth.C;
@@ -925,7 +764,6 @@ private:
       F.Steps = Pth.Steps;
       F.StepsFlushed = Pth.Steps; // Inherited steps were published already.
       F.WorkerId = Pth.WorkerId;
-      F.Base = Pth.Base; // Hybrid: siblings share the parent's checkpoint.
       F.Claims = Pth.Claims; // Export: shared ancestor trail (cons-list).
       return F;
     };
@@ -1261,6 +1099,6 @@ PC sct::leakOriginOf(const Configuration &C, const Directive &D) {
 
 ExploreResult sct::explore(const Machine &M, Configuration Init,
                            const ExplorerOptions &Opts) {
-  Engine E(M, Opts, std::move(Init));
-  return E.run();
+  Engine E(M, Opts);
+  return E.run(std::move(Init));
 }

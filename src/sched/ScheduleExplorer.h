@@ -29,45 +29,32 @@
 /// violation is a replayable witness.
 ///
 /// Exploration is engine-shaped: an explicit frontier of `ExploreNode`s
-/// (schedule prefix + snapshot) drained by a pool of worker threads.
-/// With `Threads = N > 1` the frontier is *sharded*: each worker owns a
-/// Chase-Lev-style deque (sched/WorkDeque.h) it pushes and pops LIFO, and
-/// steals the oldest half of a random victim's deque when its own runs
-/// dry.  `Shards = 1` selects the previous single mutex-guarded frontier,
-/// kept as the contention baseline (bench/ContentionBench.cpp measures
-/// the difference).  Optionally a cross-schedule seen-state table
+/// (schedule prefix + forked configuration) drained by a pool of worker
+/// threads.  A fork stores a copy of its configuration — cheap, since
+/// memory and the reorder buffer are copy-on-write and structurally
+/// shared.  With `Threads = N > 1` the frontier is *sharded*: each worker
+/// owns a Chase-Lev-style deque (sched/WorkDeque.h) it pushes and pops
+/// LIFO, and steals the oldest half of a random victim's deque when its
+/// own runs dry.  Optionally a cross-schedule seen-state table
 /// (`PruneSeen`, sched/SeenStates.h) keyed on `Configuration::hash()`
 /// drops frontier candidates whose configuration was already visited on
 /// any schedule — v4-mode hazard re-executions converge onto previously
 /// forked states constantly, and identical configurations have identical
 /// subtrees.
 ///
-/// Forks snapshot by copying the configuration (`SnapshotPolicy::Copy`;
-/// cheap now that memory is copy-on-write), by storing only the directive
-/// prefix and re-deriving the configuration by replay
-/// (`SnapshotPolicy::Replay`) — a `Schedule` is already a replayable
-/// witness, so the prefix alone determines the state — or by the hybrid
-/// (`SnapshotPolicy::Hybrid`): a running path publishes a shared
-/// checkpoint of its configuration every `CheckpointInterval` directives,
-/// forked nodes store only the prefix plus a reference to the nearest
-/// checkpoint, and materialization replays at most ~CheckpointInterval
-/// directives from that checkpoint.  Replay cost is bounded by K while
-/// frontier memory stays near `Replay` levels (siblings share one
-/// checkpoint; see `ExploreResult::Checkpoints`/`ReplaySteps`).
-///
 /// **Determinism contract.**  `Threads <= 1` drains the frontier on the
 /// calling thread in the legacy depth-first order: schedules complete in
 /// a fixed sequence and every counter in `ExploreResult` is reproducible
 /// run-to-run (with `PruneSeen` on — the default — still deterministic:
-/// the same duplicates are pruned at the same points).  `Threads = N > 1` drains
-/// in a racy order but produces the **identical deduplicated leak set**
-/// for any N, Shards value, and snapshot policy: schedule-tree forks are
-/// independent of drain order, per-worker leak buffers merge through
-/// `LeakRecord::key()`, and the MaxLeaks budget counts globally-unique
-/// keys.  With `PruneSeen` off, `TotalSteps`/`SchedulesCompleted` are
-/// also N-independent (work conservation); with it on (the default) they
-/// shrink and, under N > 1, may vary run-to-run by which racing twin got
-/// pruned — the leak set still does not.
+/// the same duplicates are pruned at the same points).  `Threads = N > 1`
+/// drains in a racy order but produces the **identical deduplicated leak
+/// set** for any N: schedule-tree forks are independent of drain order,
+/// per-worker leak buffers merge through `LeakRecord::key()`, and the
+/// MaxLeaks budget counts globally-unique keys.  With `PruneSeen` off,
+/// `TotalSteps`/`SchedulesCompleted` are also N-independent (work
+/// conservation); with it on (the default) they shrink and, under N > 1,
+/// may vary run-to-run by which racing twin got pruned — the leak set
+/// still does not.
 ///
 /// **Thread-safety.**  One `explore()` call builds its own workers,
 /// frontier, and seen table; concurrent `explore()` calls (as
@@ -85,50 +72,6 @@
 #include "support/Hashing.h"
 
 namespace sct {
-
-/// A full-configuration checkpoint published by a Hybrid-policy path: the
-/// state reached after applying the first `Len` directives of the path's
-/// schedule.  Shared (immutable, behind shared_ptr) between every node
-/// forked from the same stretch of path.  When
-/// `ExplorerOptions::RecordCheckpointChain` is set each checkpoint also
-/// links to the one it superseded, so a consumer holding the newest
-/// checkpoint of a path can walk back to the nearest checkpoint at or
-/// before *any* prefix length — the witness minimizer seeds its ddmin
-/// candidate replays from these rungs instead of the initial
-/// configuration (engine/WitnessMinimizer.h).
-struct Checkpoint {
-  Configuration Config;
-  /// How many directives of the publishing path's schedule `Config` has
-  /// applied; the prefix Sched[0, Len) of any schedule that reaches this
-  /// checkpoint replays Init to exactly `Config`.
-  size_t Len = 0;
-  /// The previous checkpoint on the same path; null unless
-  /// `RecordCheckpointChain` (keeping the whole chain alive costs one
-  /// configuration per CheckpointInterval directives of path progress, so
-  /// it is opt-in for consumers that replay mid-schedule).
-  std::shared_ptr<const Checkpoint> Prev;
-};
-
-/// How a fork in the schedule tree checkpoints machine state.
-enum class SnapshotPolicy : unsigned char {
-  /// Store the forked configuration itself.  Copy-on-write memory makes
-  /// this cheap in space until a side writes; it is the fastest policy.
-  Copy,
-  /// Store only the directive prefix; the worker that picks the node up
-  /// re-derives the configuration by replaying the prefix from the
-  /// initial configuration.  Trades CPU for near-zero frontier memory —
-  /// useful when the frontier grows to millions of nodes.
-  Replay,
-  /// The replay-snapshot hybrid: a running path publishes a shared,
-  /// immutable checkpoint of its configuration every
-  /// `ExplorerOptions::CheckpointInterval` directives; forked nodes store
-  /// the directive prefix plus a reference to the nearest checkpoint and
-  /// re-derive their configuration by replaying at most ~K directives
-  /// from it.  Bounds replay CPU by K and frontier memory by one shared
-  /// checkpoint per K directives of path progress — the middle ground the
-  /// K-sweep in bench/SnapshotBench.cpp measures.
-  Hybrid,
-};
 
 /// Exploration knobs (§4.2.1's two configurations are:
 /// {Bound=250, Hazards=false} and {Bound=20, Hazards=true}).
@@ -179,30 +122,6 @@ struct ExplorerOptions {
   /// deduplicated leak set (per-worker leak buffers are merged through
   /// LeakRecord::key()).
   unsigned Threads = 0;
-  /// How forked nodes checkpoint state (see SnapshotPolicy).
-  SnapshotPolicy Snapshots = SnapshotPolicy::Copy;
-  /// Hybrid snapshots only: a path publishes a fresh shared checkpoint
-  /// once it has run this many directives past the previous one, so
-  /// materializing any frontier node replays at most ~CheckpointInterval
-  /// directives.  Smaller = more checkpoint memory, less replay CPU;
-  /// 0 is treated as 1 (every node checkpoints, ≈ Copy with sharing).
-  /// The default follows the committed BENCH_SNAPSHOT.json K-sweep.
-  unsigned CheckpointInterval = 16;
-  /// Frontier sharding (only meaningful when Threads > 1).  0 (default):
-  /// one work-stealing deque per worker.  1: the single mutex-guarded
-  /// shared frontier — the pre-sharding engine, kept as a contention
-  /// baseline.  N > 1: N deques with workers mapped round-robin, so
-  /// fewer shards than workers makes groups of workers share a deque;
-  /// values above Threads are clamped (a deque no worker calls home
-  /// could never receive work).
-  unsigned Shards = 0;
-  /// Hybrid snapshots only: link every published checkpoint to the one it
-  /// superseded and hand the chain head to each `LeakRecord` (see
-  /// `Checkpoint::Prev`).  Off by default — the chain keeps every
-  /// checkpoint of a path alive for the lifetime of the leaks referencing
-  /// it; CheckSession turns it on when witness minimization will consume
-  /// the rungs as mid-schedule replay seeds.
-  bool RecordCheckpointChain = false;
   /// Cross-schedule state pruning: fingerprint every frontier candidate
   /// with Configuration::hash() and drop candidates whose configuration
   /// was already visited on any schedule; additionally cut a path short
@@ -234,17 +153,6 @@ struct ExplorerOptions {
   /// byte-identical with the filter on or off; `ReusePrunedNodes` counts
   /// what it saved.
   std::shared_ptr<const RemappedSeenFilter> Reuse;
-  /// Hashing-sensitivity knob: fingerprint states with
-  /// Configuration::hashFromScratch() (a full state walk) at every
-  /// fork-filter and convergence probe instead of the O(1)-amortized
-  /// incremental hash().  Both compute bit-identical values, so leak
-  /// sets and prune decisions cannot differ — only the cost does.
-  /// bench/StepRateBench.cpp sweeps it against the default to isolate
-  /// how much of the engine's step rate rides on probe cost (the >=2x
-  /// tentpole number there is measured against the pre-PR layout, not
-  /// this knob — lazy folding made the knob gap small on prune-heavy
-  /// trees because most entries retire unhashed either way).
-  bool FromScratchHashing = false;
   /// Collect ExploreStats (engages `ExploreResult::Stats`).  Off by
   /// default: the per-depth tallies cost a few atomics per fork, and the
   /// counters are a diagnosis tool (`sctcheck --stats`), not part of any
@@ -303,14 +211,6 @@ struct LeakRecord {
   /// same initial configuration to an observation with the identical
   /// key(), in far fewer directives than the raw exploration prefix.
   Schedule MinSched;
-  /// The checkpoint chain of the path that recorded this leak (null
-  /// unless the exploration ran under SnapshotPolicy::Hybrid with
-  /// `ExplorerOptions::RecordCheckpointChain` — a pinned checkpoint
-  /// lives as long as this record, so it is only kept when a consumer
-  /// asked for it).  Each rung's `Len`-prefix of `Sched` replays Init to
-  /// exactly its `Config`; the `Prev` links reach every earlier rung of
-  /// the path — the minimizer's mid-schedule replay seeds.
-  std::shared_ptr<const Checkpoint> Ckpt;
 
   /// Key used to deduplicate leaks across schedules: a 64-bit hash-combine
   /// over (origin, observation kind, rule, taint mask).  Each field is
@@ -337,16 +237,9 @@ struct ExploreResult {
   /// forks and continuations whose configuration was already visited,
   /// plus hazard re-executions cut short at a visited state.
   uint64_t PrunedNodes = 0;
-  /// Successful steal operations between frontier shards (Threads > 1
-  /// with work-stealing; each may move many nodes at once).
+  /// Successful steal operations between frontier shards (Threads > 1;
+  /// each may move many nodes at once).
   uint64_t Steals = 0;
-  /// Directives re-executed while materializing frontier nodes under
-  /// Replay/Hybrid snapshots.  Replayed steps never touch budgets, leak
-  /// recording, or TotalSteps — they re-derive state already accounted.
-  uint64_t ReplaySteps = 0;
-  /// Full-configuration checkpoints published by the Hybrid policy (the
-  /// frontier-memory proxy bench/SnapshotBench.cpp sweeps).
-  uint64_t Checkpoints = 0;
   /// Frontier candidates dropped (and hazard re-executions cut short)
   /// because a prior exploration's exported table covered them
   /// (`ExplorerOptions::Reuse`).

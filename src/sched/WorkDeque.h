@@ -9,7 +9,7 @@
 /// The sharded exploration frontier: per-worker deques in the Chase-Lev
 /// discipline — the owner pushes and pops at the *bottom* (LIFO, so a
 /// worker keeps descending the subtree it just forked, which maximises
-/// replay affinity and keeps frontier memory at O(tree depth)), while
+/// cache affinity and keeps frontier memory at O(tree depth)), while
 /// thieves take from the *top* (FIFO, the oldest nodes, whose subtrees are
 /// the largest and amortise the steal best).  Thieves steal *half* the
 /// victim's deque in one operation (Cilk-style steal-half), so a starving
@@ -18,7 +18,7 @@
 ///
 /// Each shard is guarded by its own mutex rather than the lock-free
 /// Chase-Lev protocol: exploration nodes are fat (a Schedule vector plus
-/// an optional COW Configuration), so the transfer itself dwarfs an
+/// a COW Configuration), so the transfer itself dwarfs an
 /// uncontended lock, and the mutex keeps the stealing path trivially
 /// data-race-free (the CI ThreadSanitizer job holds the engine to that).
 /// What matters for contention is that workers no longer share one global
@@ -83,10 +83,8 @@ private:
   std::deque<T> Items;
 };
 
-/// The sharded frontier: a fixed array of WorkDeques plus the randomized
-/// steal protocol.  Workers map onto shards round-robin (worker w owns
-/// shard w mod shards()); with the default one-shard-per-worker layout the
-/// mapping is the identity.
+/// The sharded frontier: one WorkDeque per worker (worker w owns shard w)
+/// plus the randomized steal protocol.
 ///
 /// Thread-safety: every method is safe to call concurrently from any
 /// worker.  At most one shard mutex is held at a time (a steal drains the
@@ -94,34 +92,30 @@ private:
 /// protocol cannot deadlock regardless of victim order.
 template <typename T> class StealQueue {
 public:
-  explicit StealQueue(unsigned ShardCount)
-      : Shards(ShardCount ? ShardCount : 1) {
-    for (auto &S : Shards)
+  explicit StealQueue(unsigned Workers) : Deques(Workers) {
+    for (auto &S : Deques)
       S = std::make_unique<WorkDeque<T>>();
   }
 
-  unsigned shards() const { return static_cast<unsigned>(Shards.size()); }
+  unsigned workers() const { return static_cast<unsigned>(Deques.size()); }
 
-  /// Home shard of worker \p WorkerId.
-  unsigned homeOf(unsigned WorkerId) const { return WorkerId % shards(); }
-
-  void push(unsigned Shard, T &&Item) {
-    Shards[Shard]->pushBottom(std::move(Item));
+  void push(unsigned Worker, T &&Item) {
+    Deques[Worker]->pushBottom(std::move(Item));
   }
 
   /// Owner fast path: LIFO pop from the worker's own shard.
-  bool tryPop(unsigned Shard, T &Out) {
-    return Shards[Shard]->popBottom(Out);
+  bool tryPop(unsigned Worker, T &Out) {
+    return Deques[Worker]->popBottom(Out);
   }
 
-  /// Steal for the worker owning \p Home: probe every other shard once,
-  /// starting from a caller-supplied random offset (randomization spreads
+  /// Steal for worker \p Home: probe every other shard once, starting
+  /// from a caller-supplied random offset (randomization spreads
   /// simultaneous thieves over distinct victims).  On success the oldest
   /// stolen node is returned in \p Out for immediate execution and the
   /// rest refill the home shard; the number of nodes taken is returned, 0
   /// if every victim was empty.
   size_t trySteal(unsigned Home, unsigned RandomOffset, T &Out) {
-    unsigned D = shards();
+    unsigned D = workers();
     if (D <= 1)
       return 0;
     std::vector<T> Loot;
@@ -129,21 +123,21 @@ public:
       unsigned Victim = (RandomOffset + K) % D;
       if (Victim == Home)
         continue;
-      if (Shards[Victim]->stealTopHalf(Loot) == 0)
+      if (Deques[Victim]->stealTopHalf(Loot) == 0)
         continue;
       // Oldest node runs now; the younger remainder refills home in
       // order, so the owner's next LIFO pops see youngest-first — the
       // same descent order the victim would have used.
       Out = std::move(Loot.front());
       for (size_t I = 1; I < Loot.size(); ++I)
-        Shards[Home]->pushBottom(std::move(Loot[I]));
+        Deques[Home]->pushBottom(std::move(Loot[I]));
       return Loot.size();
     }
     return 0;
   }
 
 private:
-  std::vector<std::unique_ptr<WorkDeque<T>>> Shards;
+  std::vector<std::unique_ptr<WorkDeque<T>>> Deques;
 };
 
 } // namespace sct

@@ -1,9 +1,9 @@
 //===- tests/EngineTest.cpp - Parallel engine and unified analysis API ------===//
 //
 // Covers the exploration engine's parallel frontier (Threads > 1 must
-// reproduce the sequential deduplicated leak set), snapshot policies,
-// exploration budgets (every exhausted budget marks the result truncated
-// while found leaks stay trustworthy), and the CheckSession batch API.
+// reproduce the sequential deduplicated leak set), exploration budgets
+// (every exhausted budget marks the result truncated while found leaks
+// stay trustworthy), and the CheckSession batch API.
 //
 //===----------------------------------------------------------------------===//
 
@@ -88,10 +88,9 @@ TEST(ParallelEngine, KocherLeakSetsMatchSequentialBothModes) {
 }
 
 TEST(ParallelEngine, KocherLeakSetsMatchUnderStealingAndPruning) {
-  // The tentpole requirement: for every Kocher variant in both modes, the
-  // work-stealing sharded frontier at Threads=8 — with and without
-  // cross-schedule seen-state pruning — and the legacy shared frontier
-  // all report the deduplicated leak set of the sequential drain.
+  // For every Kocher variant in both modes, the work-stealing sharded
+  // frontier at Threads=8 — with and without cross-schedule seen-state
+  // pruning — reports the deduplicated leak set of the sequential drain.
   std::vector<SuiteCase> Cases = kocherCases();
   for (const SuiteCase &C : kocherOriginalCases())
     Cases.push_back(C);
@@ -104,7 +103,7 @@ TEST(ParallelEngine, KocherLeakSetsMatchUnderStealingAndPruning) {
       ExploreResult Ref = exploreProgram(C.Prog, Seq);
 
       ExplorerOptions Steal = ModeFn();
-      Steal.Threads = 8; // Shards = 0: one deque per worker.
+      Steal.Threads = 8; // One deque per worker.
       Steal.PruneSeen = false;
       ExploreResult A = exploreProgram(C.Prog, Steal);
       EXPECT_EQ(leakSet(Ref), leakSet(A)) << C.Id << Mode << " stealing";
@@ -119,13 +118,6 @@ TEST(ParallelEngine, KocherLeakSetsMatchUnderStealingAndPruning) {
           << C.Id << Mode << " stealing+pruning";
       EXPECT_LE(B.TotalSteps, Ref.TotalSteps) << C.Id << Mode;
 
-      ExplorerOptions Shared = ModeFn();
-      Shared.Threads = 8;
-      Shared.Shards = 1; // The pre-sharding baseline.
-      Shared.PruneSeen = false;
-      ExploreResult D = exploreProgram(C.Prog, Shared);
-      EXPECT_EQ(leakSet(Ref), leakSet(D)) << C.Id << Mode << " shared";
-
       ExplorerOptions SeqPrune = Seq;
       SeqPrune.PruneSeen = true;
       ExploreResult E = exploreProgram(C.Prog, SeqPrune);
@@ -137,32 +129,6 @@ TEST(ParallelEngine, KocherLeakSetsMatchUnderStealingAndPruning) {
       EXPECT_EQ(E.PrunedNodes, E2.PrunedNodes) << C.Id << Mode;
     }
   }
-}
-
-TEST(ParallelEngine, OddShardCountsStillMatch) {
-  // Workers map round-robin onto an explicit shard count that neither
-  // matches the worker count nor divides it.
-  FigureCase C = figure7();
-  for (unsigned Shards : {2u, 3u, 16u}) {
-    ExplorerOptions Opts = C.CheckOpts;
-    Opts.Threads = 4;
-    Opts.Shards = Shards;
-    ExploreResult R = exploreProgram(C.Prog, Opts);
-    EXPECT_EQ(leakSet(R), leakSet(exploreProgram(C.Prog, C.CheckOpts)))
-        << Shards;
-  }
-}
-
-TEST(ParallelEngine, StealingReplaySnapshotsMatch) {
-  // Prefix-replay nodes survive being stolen: the thief re-derives the
-  // configuration from the directive prefix alone.
-  FigureCase C = figure7();
-  ExplorerOptions Opts = C.CheckOpts;
-  Opts.Threads = 8;
-  Opts.Snapshots = SnapshotPolicy::Replay;
-  Opts.PruneSeen = true;
-  ExploreResult R = exploreProgram(C.Prog, Opts);
-  EXPECT_EQ(leakSet(R), leakSet(exploreProgram(C.Prog, C.CheckOpts)));
 }
 
 TEST(ParallelEngine, FigureProgramsMatchSequential) {
@@ -184,110 +150,6 @@ TEST(ParallelEngine, StopAtFirstLeakStillShortCircuits) {
   ExploreResult R = exploreProgram(C.Prog, Opts);
   EXPECT_FALSE(R.secure());
   EXPECT_GE(R.Leaks.size(), 1u);
-}
-
-//===--------------------------------------------------- snapshot policy ---===//
-
-TEST(SnapshotPolicy, ReplayMatchesCopy) {
-  for (const FigureCase &C : {figure1(), figure6(), figure7()}) {
-    ExplorerOptions Copy = C.CheckOpts;
-    Copy.Snapshots = SnapshotPolicy::Copy;
-    ExplorerOptions Replay = C.CheckOpts;
-    Replay.Snapshots = SnapshotPolicy::Replay;
-    ExploreResult A = exploreProgram(C.Prog, Copy);
-    ExploreResult B = exploreProgram(C.Prog, Replay);
-    EXPECT_EQ(leakSet(A), leakSet(B)) << C.Name;
-    EXPECT_EQ(A.SchedulesCompleted, B.SchedulesCompleted) << C.Name;
-    EXPECT_EQ(A.TotalSteps, B.TotalSteps) << C.Name;
-  }
-}
-
-TEST(SnapshotPolicy, ReplayWorksParallel) {
-  FigureCase C = figure7();
-  ExplorerOptions Opts = C.CheckOpts;
-  Opts.Snapshots = SnapshotPolicy::Replay;
-  Opts.Threads = 4;
-  ExploreResult R = exploreProgram(C.Prog, Opts);
-  EXPECT_EQ(leakSet(R), leakSet(exploreProgram(C.Prog, C.CheckOpts)));
-}
-
-TEST(SnapshotPolicy, HybridMatchesCopyAndReplayOnKocher) {
-  // The acceptance criterion: SnapshotPolicy::Hybrid yields identical
-  // leak sets to Copy and Replay — here on every Kocher variant in both
-  // modes and at several checkpoint intervals, with the sequential
-  // counters identical too (materialization replays never touch budgets).
-  std::vector<SuiteCase> Cases = kocherCases();
-  for (const SuiteCase &C : kocherOriginalCases())
-    Cases.push_back(C);
-  for (const SuiteCase &C : Cases) {
-    for (auto ModeFn : {v1v11Mode, v4Mode}) {
-      ExplorerOptions Copy = ModeFn();
-      Copy.Snapshots = SnapshotPolicy::Copy;
-      ExploreResult A = exploreProgram(C.Prog, Copy);
-
-      ExplorerOptions Replay = ModeFn();
-      Replay.Snapshots = SnapshotPolicy::Replay;
-      ExploreResult B = exploreProgram(C.Prog, Replay);
-      EXPECT_EQ(leakSet(A), leakSet(B)) << C.Id << " replay";
-      EXPECT_EQ(A.TotalSteps, B.TotalSteps) << C.Id;
-
-      for (unsigned K : {1u, 4u, 16u, 64u}) {
-        ExplorerOptions Hybrid = ModeFn();
-        Hybrid.Snapshots = SnapshotPolicy::Hybrid;
-        Hybrid.CheckpointInterval = K;
-        ExploreResult H = exploreProgram(C.Prog, Hybrid);
-        EXPECT_EQ(leakSet(A), leakSet(H)) << C.Id << " hybrid K=" << K;
-        EXPECT_EQ(A.TotalSteps, H.TotalSteps) << C.Id << " K=" << K;
-        EXPECT_EQ(A.SchedulesCompleted, H.SchedulesCompleted)
-            << C.Id << " K=" << K;
-        EXPECT_EQ(A.Truncated, H.Truncated) << C.Id << " K=" << K;
-      }
-    }
-  }
-}
-
-TEST(SnapshotPolicy, HybridBoundsReplayWorkByInterval) {
-  // The hybrid's contract: smaller K means more checkpoints and less
-  // replayed work.  On a fixed tree both counters must move
-  // monotonically with K (sequential drain, so they are deterministic).
-  FigureCase C = figure7();
-  uint64_t PrevCheckpoints = ~0ull, PrevReplay = 0;
-  for (unsigned K : {1u, 8u, 64u}) {
-    ExplorerOptions Opts = C.CheckOpts;
-    Opts.Snapshots = SnapshotPolicy::Hybrid;
-    Opts.CheckpointInterval = K;
-    ExploreResult R = exploreProgram(C.Prog, Opts);
-    EXPECT_LE(R.Checkpoints, PrevCheckpoints) << K;
-    EXPECT_GE(R.ReplaySteps, PrevReplay) << K;
-    PrevCheckpoints = R.Checkpoints;
-    PrevReplay = R.ReplaySteps;
-  }
-  // Copy never replays; Replay never checkpoints.
-  ExplorerOptions Copy = C.CheckOpts;
-  ExploreResult RC = exploreProgram(C.Prog, Copy);
-  EXPECT_EQ(RC.ReplaySteps, 0u);
-  EXPECT_EQ(RC.Checkpoints, 0u);
-  ExplorerOptions Rep = C.CheckOpts;
-  Rep.Snapshots = SnapshotPolicy::Replay;
-  ExploreResult RR = exploreProgram(C.Prog, Rep);
-  EXPECT_EQ(RR.Checkpoints, 0u);
-}
-
-TEST(SnapshotPolicy, HybridWorksUnderStealingAndPruning) {
-  // Hybrid checkpoints are shared between workers (shared_ptr to an
-  // immutable configuration); the full parallel engine must reproduce
-  // the sequential leak set.
-  FigureCase C = figure7();
-  for (unsigned K : {2u, 16u}) {
-    ExplorerOptions Opts = C.CheckOpts;
-    Opts.Snapshots = SnapshotPolicy::Hybrid;
-    Opts.CheckpointInterval = K;
-    Opts.Threads = 8;
-    Opts.PruneSeen = true;
-    ExploreResult R = exploreProgram(C.Prog, Opts);
-    EXPECT_EQ(leakSet(R), leakSet(exploreProgram(C.Prog, C.CheckOpts)))
-        << K;
-  }
 }
 
 //===----------------------------------------------------------- budgets ---===//

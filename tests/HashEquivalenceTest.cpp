@@ -12,7 +12,9 @@
 // (which exercise fetch/execute/retire, store forwarding, hazard
 // rollbacks, and RSB push/pop):
 //   - whole-configuration and per-component incremental == from-scratch
-//     after every single step;
+//     after every single step — also along the explorer's own v4
+//     witnesses on the two largest crypto trees (mee-c, ssl3-c), the
+//     trajectories seen-state pruning actually fingerprints;
 //   - copy-on-write sharing and unsharing (configuration copies that then
 //     diverge) preserves both sides' fingerprints;
 //   - the remap-aware hash under an identity remap equals the plain hash
@@ -25,8 +27,10 @@
 
 #include "RandomProgram.h"
 
+#include "checker/SctChecker.h"
 #include "core/Configuration.h"
 #include "sched/RandomScheduler.h"
+#include "workloads/CryptoLibs.h"
 
 #include <gtest/gtest.h>
 
@@ -78,6 +82,33 @@ TEST_P(HashEquivalence, IncrementalMatchesScratchEveryStep) {
     ASSERT_TRUE(M.step(C, S.D).has_value());
     expectHashesMatchScratch(C, Seed, ++Step);
   }
+}
+
+// The same every-step property, with the explorer's witness schedules on
+// real crypto trees as inputs: each v4 leak's raw schedule replays from
+// the initial configuration with incremental == from-scratch after every
+// directive.
+TEST(HashEquivalenceWitnesses, ExplorerWitnessesMatchScratchEveryStep) {
+  size_t Witnesses = 0;
+  for (const SuiteCase &Case : {meeC(), ssl3C()}) {
+    Machine M(Case.Prog);
+    Configuration Init = Configuration::initial(Case.Prog);
+    ExplorerOptions Opts = v4Mode();
+    Opts.Threads = 1;
+    ExploreResult R = explore(M, Init, Opts);
+    ASSERT_FALSE(R.Leaks.empty()) << Case.Id;
+    for (size_t W = 0; W < R.Leaks.size(); ++W) {
+      Configuration C = Init;
+      size_t Step = 0;
+      for (const Directive &D : R.Leaks[W].Sched) {
+        ASSERT_TRUE(M.step(C, D).has_value()) << Case.Id << " witness " << W;
+        ASSERT_NO_FATAL_FAILURE(expectHashesMatchScratch(C, W, ++Step))
+            << Case.Id << " witness " << W;
+      }
+      ++Witnesses;
+    }
+  }
+  EXPECT_GT(Witnesses, 0u);
 }
 
 TEST_P(HashEquivalence, CowUnsharePreservesBothFingerprints) {
@@ -311,7 +342,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HashEquivalence,
                          ::testing::Range<uint64_t>(1, 33));
 
 // The const hash() overload's concurrency contract: a shared (frozen)
-// configuration — the explorer holds exactly this shape in checkpoint
+// configuration — the minimizer holds exactly this shape in its replay
 // rungs — may be fingerprinted from many threads at once.  The const
 // overload performs NO writes at all: pending contributions are
 // recomputed on the fly and combined into the running value without
@@ -349,7 +380,7 @@ TEST(HashEquivalenceConcurrent, SharedConfigurationConstHashIsWriteFree) {
   EXPECT_EQ(Mismatches.load(), 0u);
 }
 
-// The shared-checkpoint shape under fire: a frozen configuration whose
+// The shared-rung shape under fire: a frozen configuration whose
 // sealed ROB chunks are ALSO shared (structurally) with live forks that
 // other threads are mutating.  The mutators unshare chunks and fold
 // fingerprints on their private copies while const probes of the frozen
@@ -373,7 +404,7 @@ TEST(HashEquivalenceConcurrent, SharedChunksConstHashRacesMutatingForks) {
 
   std::vector<std::thread> Pool;
   std::atomic<unsigned> Mismatches{0};
-  // Four const probes of the frozen checkpoint...
+  // Four const probes of the frozen configuration...
   for (int T = 0; T < 4; ++T)
     Pool.emplace_back([&] {
       for (int I = 0; I < 1000; ++I)

@@ -6,22 +6,20 @@
 //    identical LeakRecord::key();
 //  - idempotence: minimizing a minimized witness is a fixpoint;
 //  - equivalence: parallel minimization (Threads in {2, 8}),
-//    checkpoint-seeded replays, and the candidate memo produce
+//    rung-seeded replays, and the candidate memo produce
 //    byte-identical MinSched per leak key vs the sequential from-initial
 //    baseline, on every Kocher variant in both modes — with identical
 //    stats counters, since the search must visit the same candidates;
 //  - excursion slicing: idempotent, never lengthens a witness, still
 //    replays to the identical key, and actually fires on
 //    nested-speculation witnesses;
-//  - checkpoint chains: hybrid explorations thread LeakRecord::Ckpt and
-//    every rung's configuration is exactly what the witness prefix
-//    replays to;
 //  - effectiveness: explorer witnesses only shrink, and on genuinely
 //    bloated witnesses (leaking random well-formed schedules — the
 //    "unreadable full prefix" case minimization exists for) the median
 //    minimized length is at most 25% of the raw prefix;
 //  - the engine plumbing: CheckRequest pass configs fill
-//    LeakRecord::MinSched and CheckResult::Minimization, and the replay
+//    LeakRecord::MinSched and CheckResult::Minimization, session flags
+//    parse (and reject malformed numbers naming the flag), and the replay
 //    budget degrades gracefully.
 //
 //===----------------------------------------------------------------------===//
@@ -29,6 +27,7 @@
 #include "engine/WitnessMinimizer.h"
 
 #include "checker/SctChecker.h"
+#include "engine/SessionArgs.h"
 #include "sched/Executor.h"
 #include "sched/RandomScheduler.h"
 #include "workloads/CryptoLibs.h"
@@ -39,6 +38,8 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 using namespace sct;
@@ -159,19 +160,17 @@ TEST(Minimizer, DdminIsIdempotent) {
 
 //===---------------------------------------------------------- equivalence ---===//
 
-/// Explores \p C under \p Opts the way a minimizing session would: one
-/// deterministic thread, hybrid snapshots, checkpoint chains recorded.
-ExploreResult exploreWithChains(const Machine &M, const Configuration &Init,
+/// Explores \p C under \p Opts on one deterministic thread, the way a
+/// sequential minimizing session would.
+ExploreResult exploreSequential(const Machine &M, const Configuration &Init,
                                 ExplorerOptions Opts) {
   Opts.Threads = 1;
-  Opts.Snapshots = SnapshotPolicy::Hybrid;
-  Opts.RecordCheckpointChain = true;
   return explore(M, Init, Opts);
 }
 
 TEST(Minimizer, SeededParallelMatchesSequentialFromInitial) {
   // The acceptance criterion verbatim: parallel minimization at Threads
-  // in {2, 8} and checkpoint-seeded (plus memoized) replays produce
+  // in {2, 8} and rung-seeded (plus memoized) replays produce
   // byte-identical MinSched per leak key vs the sequential from-initial
   // baseline, on every Kocher variant in both modes.  The stats must
   // agree too — Replays exactly (the search visits the same candidates
@@ -181,7 +180,7 @@ TEST(Minimizer, SeededParallelMatchesSequentialFromInitial) {
     Machine M(C.Prog);
     Configuration Init = Configuration::initial(C.Prog);
     for (auto ModeFn : {v1v11Mode, v4Mode}) {
-      ExploreResult R = exploreWithChains(M, Init, ModeFn());
+      ExploreResult R = exploreSequential(M, Init, ModeFn());
       if (R.Leaks.empty())
         continue;
       ++Corpora;
@@ -220,39 +219,6 @@ TEST(Minimizer, SeededParallelMatchesSequentialFromInitial) {
   EXPECT_GE(Corpora, allKocher().size());
 }
 
-TEST(Minimizer, CheckpointChainsThreadThroughLeakRecords) {
-  // Hybrid explorations hand every leak the newest checkpoint of its
-  // path; with RecordCheckpointChain the Prev links walk back rung by
-  // rung.  Each rung's configuration must be exactly what the witness
-  // prefix of its length replays to — the property seeding relies on.
-  SuiteCase C = kocherCases()[4];
-  Machine M(C.Prog);
-  Configuration Init = Configuration::initial(C.Prog);
-  ExploreResult R = exploreWithChains(M, Init, v4Mode());
-  ASSERT_FALSE(R.Leaks.empty());
-  size_t RungsChecked = 0;
-  for (const LeakRecord &L : R.Leaks) {
-    size_t PrevLen = SIZE_MAX;
-    for (std::shared_ptr<const Checkpoint> K = L.Ckpt; K; K = K->Prev) {
-      ASSERT_LE(K->Len, L.Sched.size());
-      ASSERT_LT(K->Len, PrevLen) << "chain lengths must strictly decrease";
-      PrevLen = K->Len;
-      Configuration F = Init;
-      for (size_t I = 0; I < K->Len; ++I)
-        ASSERT_TRUE(M.step(F, L.Sched[I]).has_value());
-      EXPECT_EQ(F.hash(), K->Config.hash());
-      ++RungsChecked;
-    }
-  }
-  EXPECT_GT(RungsChecked, 0u) << "v4 witnesses must carry checkpoints";
-  // Without hybrid snapshots there is nothing to thread.
-  ExplorerOptions Copy = v4Mode();
-  Copy.Threads = 1;
-  ExploreResult RC = explore(M, Init, Copy);
-  for (const LeakRecord &L : RC.Leaks)
-    EXPECT_EQ(L.Ckpt, nullptr);
-}
-
 //===------------------------------------------------------------- slicing ---===//
 
 TEST(Minimizer, SlicingIsIdempotentAndNeverLengthens) {
@@ -264,7 +230,7 @@ TEST(Minimizer, SlicingIsIdempotentAndNeverLengthens) {
   for (const SuiteCase &C : allKocher()) {
     Machine M(C.Prog);
     Configuration Init = Configuration::initial(C.Prog);
-    ExploreResult R = exploreWithChains(M, Init, v4Mode());
+    ExploreResult R = exploreSequential(M, Init, v4Mode());
     for (const LeakRecord &L : R.Leaks) {
       MinimizeOptions Opts; // Slicing on by default.
       MinimizeStats Stats;
@@ -472,9 +438,8 @@ TEST(Minimizer, CheckRequestFillsMinSchedAndStats) {
     EXPECT_TRUE(L.MinSched.empty());
 }
 
-TEST(Minimizer, SessionThreadsChainAndFlagsPlumbThrough) {
-  // A minimizing session under hybrid snapshots records checkpoint
-  // chains for its leaks (runOne flips RecordCheckpointChain), inherits
+TEST(Minimizer, SessionThreadsAndFlagsPlumbThrough) {
+  // A minimizing session seeds its replays from its own rungs, inherits
   // the check's thread share when MinimizeOptions::Threads is unset, and
   // produces the same minimized witnesses at any share.
   SuiteCase C = kocherCases()[4];
@@ -482,7 +447,6 @@ TEST(Minimizer, SessionThreadsChainAndFlagsPlumbThrough) {
   Req.Id = C.Id;
   Req.Prog = C.Prog;
   Req.Opts = v4Mode();
-  Req.Opts.Snapshots = SnapshotPolicy::Hybrid;
   Req.Passes.emplace().MinimizeWitnesses = true;
 
   SessionOptions Seq;
@@ -491,9 +455,7 @@ TEST(Minimizer, SessionThreadsChainAndFlagsPlumbThrough) {
   ASSERT_FALSE(RSeq.secure());
   ASSERT_TRUE(RSeq.Minimization.has_value());
   EXPECT_GT(RSeq.Minimization->SeededSteps, 0u)
-      << "hybrid session minimization must seed from checkpoints";
-  for (const LeakRecord &L : RSeq.Exploration.Leaks)
-    EXPECT_NE(L.Ckpt, nullptr);
+      << "session minimization must seed from its rungs";
 
   SessionOptions Par;
   Par.Threads = 8;
@@ -516,6 +478,49 @@ TEST(Minimizer, SessionThreadsChainAndFlagsPlumbThrough) {
   EXPECT_EQ(SOpts.Passes.Minimize.Threads, 4u);
   EXPECT_FALSE(SOpts.Passes.Minimize.SliceExcursions);
   EXPECT_FALSE(SOpts.Passes.Minimize.SeedReplays);
+
+  // Malformed numbers are rejected with a message naming the flag —
+  // never wrapped (a negative thread count read as 2^32 - 1), truncated
+  // ("4x" read as 4), or defaulted ("abc" read as 0).
+  auto ParseError = [](std::vector<const char *> Args) -> std::string {
+    Args.insert(Args.begin(), "bench");
+    try {
+      parseSessionArgs(static_cast<int>(Args.size()),
+                       const_cast<char **>(Args.data()));
+    } catch (const std::invalid_argument &E) {
+      return E.what();
+    }
+    return "";
+  };
+  auto Names = [](const std::string &Msg, const char *Flag) {
+    return Msg.rfind(Flag, 0) == 0;
+  };
+  EXPECT_PRED2(Names, ParseError({"--threads", "-1"}), "--threads");
+  EXPECT_PRED2(Names, ParseError({"--threads", "4x"}), "--threads");
+  EXPECT_PRED2(Names, ParseError({"--threads", "99999"}), "--threads");
+  EXPECT_PRED2(Names, ParseError({"--threads", ""}), "--threads");
+  EXPECT_PRED2(Names, ParseError({"--minimize-budget", "abc"}),
+               "--minimize-budget");
+  EXPECT_PRED2(Names, ParseError({"--sps-max-tapes", "99999999999999999999"}),
+               "--sps-max-tapes");
+  EXPECT_PRED2(Names, ParseError({"--workers", " 2"}), "--workers");
+  EXPECT_PRED2(Names, ParseError({"--worker-timeout", "-5"}),
+               "--worker-timeout");
+  EXPECT_PRED2(Names, ParseError({"--worker-timeout", "1s"}),
+               "--worker-timeout");
+  EXPECT_PRED2(Names, ParseError({"--worker-timeout", "inf"}),
+               "--worker-timeout");
+  // A trailing value-taking flag with nothing after it.
+  EXPECT_PRED2(Names, ParseError({"--no-prune-seen", "--threads"}),
+               "--threads");
+  // Well-formed values at the range edges still parse.
+  EXPECT_EQ(ParseError({"--threads", "0", "--minimize-budget",
+                        "18446744073709551615", "--worker-timeout", "2.5"}),
+            "");
+  // The driver-facing wrapper turns the error into exit status 2.
+  const char *Bad[] = {"bench", "--threads", "-1"};
+  EXPECT_EXIT(sessionOptionsFromArgs(3, const_cast<char **>(Bad)),
+              testing::ExitedWithCode(2), "--threads");
 }
 
 TEST(Minimizer, BudgetDegradesGracefully) {

@@ -65,8 +65,8 @@ void expectResultsIdentical(const std::vector<CheckResult> &A,
     }
     // Compare everything else through the serializer with the fields the
     // determinism contract excludes zeroed: wall-clock, and the resolved
-    // thread/shard share (each backend splits the budget differently —
-    // exactly why optionsFingerprint normalizes them).
+    // thread share (each backend splits the budget differently — exactly
+    // why optionsFingerprint normalizes it).
     CheckResult CA = A[I], CB = B[I];
     CA.Seconds = CB.Seconds = 0;
     if (CA.Sps)
@@ -74,7 +74,6 @@ void expectResultsIdentical(const std::vector<CheckResult> &A,
     if (CB.Sps)
       CB.Sps->Seconds = 0;
     CA.Opts.Threads = CB.Opts.Threads = 0;
-    CA.Opts.Shards = CB.Opts.Shards = 0;
     EXPECT_EQ(serializeCheckResult(CA), serializeCheckResult(CB)) << A[I].Id;
   }
 }

@@ -153,13 +153,8 @@ TEST(Serialization, OptionsRoundTripWithEveryFieldPerturbed) {
   E.MaxLeaks = 99;
   E.StopAtFirstLeak = true;
   E.Threads = 5;
-  E.Snapshots = SnapshotPolicy::Hybrid;
-  E.CheckpointInterval = 3;
-  E.Shards = 2;
-  E.RecordCheckpointChain = true;
   E.PruneSeen = false;
   E.ExportSeenStates = true;
-  E.FromScratchHashing = true;
   E.CollectStats = true;
 
   ByteWriter W;
@@ -173,7 +168,9 @@ TEST(Serialization, OptionsRoundTripWithEveryFieldPerturbed) {
   writeExplorerOptions(W2, E2);
   EXPECT_EQ(Bytes, W2.buffer());
   EXPECT_EQ(E2.IndirectTargets, E.IndirectTargets);
-  EXPECT_EQ(E2.Snapshots, SnapshotPolicy::Hybrid);
+  EXPECT_EQ(E2.Threads, 5u);
+  EXPECT_FALSE(E2.PruneSeen);
+  EXPECT_TRUE(E2.CollectStats);
   EXPECT_EQ(E2.MaxLeaks, 99u);
 
   MachineOptions M;
@@ -231,10 +228,9 @@ TEST(Serialization, FingerprintNormalizesExecutionKnobsOnly) {
   PassConfig P;
   uint64_t Base = optionsFingerprint(E, M, P);
 
-  // The determinism contract's knobs: fingerprint-invariant.
+  // The determinism contract's knob: fingerprint-invariant.
   ExplorerOptions T = E;
   T.Threads = 16;
-  T.Shards = 4;
   EXPECT_EQ(optionsFingerprint(T, M, P), Base);
 
   // Everything behavior-affecting separates (the completeness invariant).
