@@ -10,17 +10,17 @@
 //            [--mitigate fence|retpoline|minimal-fence]
 //            [--stats] [--validate] [--print]
 //            [session flags: --threads, --cache-dir,
-//             --workers, --minimize-*, --prove-sps, ... (--help)]
+//             --minimize-*, --prove-sps, ... (--help)]
 //
 // Checks run through the engine layer (CheckSession).  The session-level
 // knobs — thread budget, seen-state pruning, witness minimization, the
-// SPS proof backend, the persistent result cache (--cache-dir) and the
-// worker-process pool (--workers) — all parse through the shared
-// declarative flag table (engine/SessionArgs.h); this driver only adds
-// the per-file attacker knobs above.  A malformed session-flag value
-// exits with status 2 and a message naming the flag.  With --cache-dir,
-// a hit/miss line goes to *stderr* so stdout stays byte-comparable
-// between cold and warm audits (the CI cache-smoke relies on this).
+// SPS proof backend and the persistent result cache (--cache-dir) — all
+// parse through the shared declarative flag table (engine/SessionArgs.h);
+// this driver only adds the per-file attacker knobs above.  A malformed
+// session-flag or --bound value exits with status 2 and a message naming
+// the flag.  With --cache-dir, a hit/miss line goes to *stderr* so stdout
+// stays byte-comparable between cold and warm audits (the CI cache-smoke
+// relies on this).
 // --validate replays every witness differentially to confirm it as a
 // concrete trace divergence.
 //
@@ -49,6 +49,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -129,7 +130,7 @@ int main(int Argc, char **Argv) {
   }
   Program Prog = std::move(*Parsed.Prog);
 
-  // Session flags (thread budget, pruning, passes, cache, workers) parse
+  // Session flags (thread budget, pruning, passes, cache) parse
   // through the shared table; the loop below only handles what the table
   // left unconsumed.
   SessionArgs SA;
@@ -159,9 +160,16 @@ int main(int Argc, char **Argv) {
   for (int I = 2; I < Argc; ++I) {
     if (SA.Consumed[static_cast<size_t>(I)])
       continue;
-    if (!std::strcmp(Argv[I], "--bound") && I + 1 < Argc)
-      Opts.SpeculationBound = static_cast<unsigned>(atoi(Argv[++I]));
-    else if (!std::strcmp(Argv[I], "--no-fwd"))
+    if (!std::strcmp(Argv[I], "--bound") && I + 1 < Argc) {
+      // At bound 0 nothing is ever fetched; explore() refuses it.
+      try {
+        Opts.SpeculationBound = static_cast<unsigned>(parseInteger(
+            Argv[++I], 1, std::numeric_limits<unsigned>::max()));
+      } catch (const std::invalid_argument &E) {
+        std::fprintf(stderr, "error: --bound: %s\n", E.what());
+        return 2;
+      }
+    } else if (!std::strcmp(Argv[I], "--no-fwd"))
       Opts.ExploreForwardingHazards = false;
     else if (!std::strcmp(Argv[I], "--alias"))
       Opts.ExploreAliasPrediction = true;

@@ -19,27 +19,34 @@ using namespace sct;
 
 namespace {
 
-/// Loads one oracle tape into an initial configuration: word i of the
-/// tape at OracleBase + i, public (the attacker chooses predictions, so
-/// the oracle is attacker-visible data).  Unwritten words read as the
-/// region default (0: "predict correctly").
-Configuration initWithTape(const Program &Phat, uint64_t OracleBase,
-                           const std::vector<uint64_t> &Tape) {
-  Configuration C = Configuration::initial(Phat);
-  for (size_t I = 0; I < Tape.size(); ++I)
-    C.Mem.store(OracleBase + I, Value::pub(Tape[I]));
-  return C;
+/// A secret observation and the P̂ program point that emitted it.
+struct AttributedLeak {
+  PC PhatPc;
+  Observation Obs;
+};
+
+/// A tape still to run.  It resumes where it parts from the run that
+/// spawned it: at the boundary before the oracle consult it flips, with
+/// the retires and attributed leaks of the shared prefix carried over.
+/// The root tape (empty) starts from P̂'s initial configuration.
+struct PendingTape {
+  std::vector<uint64_t> Tape;
+  Configuration Start;
+  size_t PrefixRetires = 0;
+  std::vector<AttributedLeak> PrefixLeaks;
+};
+
+/// True iff the instruction about to run at \p C reads the oracle tape.
+bool atConsult(const SpsTranslation &T, const Configuration &C) {
+  const Instruction &I = T.Prog.at(C.N);
+  return I.kind() == InstrKind::Load && I.args().size() == 1 &&
+         I.args()[0].isReg() && I.args()[0].getReg() == T.OracleCursor;
 }
 
 /// Replays a recorded schedule step by step to attribute each secret
 /// observation to the P̂ program point that emitted it.  The sequential
 /// run itself only records (directive, observation); origins live in the
 /// transients, so we re-execute and peek at the buffer before each step.
-struct AttributedLeak {
-  PC PhatPc;
-  Observation Obs;
-};
-
 std::vector<AttributedLeak> attributeLeaks(const Machine &M,
                                            Configuration C,
                                            const Schedule &Sched) {
@@ -99,8 +106,10 @@ SpsReport sct::checkSps(const Program &P, const ExplorerOptions &EOpts,
   SpsTranslation T = SpsTranslator::translate(P, TOpts, MOpts);
   Machine M(T.Prog, MOpts);
 
-  // Lazy-oracle DFS over misprediction tapes.
-  std::vector<std::vector<uint64_t>> Work{{}};
+  // Lazy-oracle DFS over misprediction tapes; each edge of the tape tree
+  // runs once (see PendingTape).
+  std::vector<PendingTape> Work;
+  Work.push_back({{}, Configuration::initial(T.Prog), 0, {}});
   std::set<std::pair<PC, bool>> SeenCe;
   bool CovIncomplete = false;
 
@@ -115,13 +124,38 @@ SpsReport sct::checkSps(const Program &P, const ExplorerOptions &EOpts,
       return Finish(std::move(Rep));
     }
 
-    std::vector<uint64_t> Tape = std::move(Work.back());
+    PendingTape Cur = std::move(Work.back());
     Work.pop_back();
     ++Rep.TapesRun;
 
-    Configuration Init = initWithTape(T.Prog, T.OracleBase, Tape);
-    SequentialResult R = runSequential(M, Init, Opts.MaxRetiresPerTape);
-    Rep.RetiresTotal += R.Run.Retires;
+    // Children: each consult past the tape's end spawns one that flips
+    // it to "mispredict" (tape words are public: the attacker chooses
+    // predictions).  Its prefix leaks are the first ChildLeaks[i] of
+    // this tape's, attributed once the run is over.
+    std::vector<PendingTape> Children;
+    std::vector<size_t> ChildLeaks;
+    size_t Scanned = 0, Secrets = Cur.PrefixLeaks.size();
+    auto Spawn = [&](const SequentialResult &S) {
+      const Configuration &C = S.Run.Final;
+      if (!atConsult(T, C))
+        return;
+      uint64_t K = C.Regs.get(T.OracleCursor).Bits - T.OracleBase;
+      if (K < Cur.Tape.size())
+        return;
+      PendingTape Child{Cur.Tape, C, Cur.PrefixRetires + S.Run.Retires, {}};
+      Child.Tape.resize(K, 0);
+      Child.Tape.push_back(1);
+      for (uint64_t I = Cur.Tape.size(); I <= K; ++I)
+        Child.Start.Mem.store(T.OracleBase + I, Value::pub(Child.Tape[I]));
+      for (; Scanned < S.Run.Trace.size(); ++Scanned)
+        Secrets += S.Run.Trace[Scanned].Obs.isSecret();
+      Children.push_back(std::move(Child));
+      ChildLeaks.push_back(Secrets);
+    };
+    SequentialResult R =
+        runSequential(M, Cur.Start, Opts.MaxRetiresPerTape - Cur.PrefixRetires,
+                      Spawn);
+    Rep.RetiresTotal += Cur.PrefixRetires + R.Run.Retires;
 
     if (R.HitBound || R.Run.Stuck) {
       Rep.Reason = R.Run.Stuck
@@ -130,8 +164,6 @@ SpsReport sct::checkSps(const Program &P, const ExplorerOptions &EOpts,
       return Finish(std::move(Rep));
     }
 
-    uint64_t Cursor = R.Run.Final.Regs.get(T.OracleCursor).Bits;
-    uint64_t Consults = Cursor >= T.OracleBase ? Cursor - T.OracleBase : 0;
     bool Valid = R.Run.Final.Regs.get(T.ValidFlag).Bits != 0;
     bool Cov = R.Run.Final.Regs.get(T.CovFlag).Bits != 0;
 
@@ -145,9 +177,13 @@ SpsReport sct::checkSps(const Program &P, const ExplorerOptions &EOpts,
       CovIncomplete = true; // Unmodelled event (ret mismatch or a
                             // depth-clipped consult): blocks Proved only.
 
+    // This tape's secret observations: its prefix's, then its run's.
+    std::vector<AttributedLeak> Leaks = std::move(Cur.PrefixLeaks);
     if (R.Run.hasSecretObservation()) {
-      Configuration Replay = initWithTape(T.Prog, T.OracleBase, Tape);
-      auto Leaks = attributeLeaks(M, std::move(Replay), R.Sched);
+      auto Own = attributeLeaks(M, std::move(Cur.Start), R.Sched);
+      Leaks.insert(Leaks.end(), Own.begin(), Own.end());
+    }
+    if (!Leaks.empty()) {
       bool Mapped = false;
       for (const AttributedLeak &L : Leaks) {
         auto Src = T.srcOf(L.PhatPc);
@@ -158,7 +194,8 @@ SpsReport sct::checkSps(const Program &P, const ExplorerOptions &EOpts,
         if (!SeenCe.insert({*Src, Spec}).second)
           continue;
         if (Rep.CounterExamples.size() < Opts.MaxCounterExamples)
-          Rep.CounterExamples.push_back({*Src, Spec, L.Obs, L.PhatPc, Tape});
+          Rep.CounterExamples.push_back(
+              {*Src, Spec, L.Obs, L.PhatPc, Cur.Tape});
       }
       if (!Mapped) {
         // Secret data reached a pure harness site with no mapped shadow
@@ -174,12 +211,11 @@ SpsReport sct::checkSps(const Program &P, const ExplorerOptions &EOpts,
       }
     }
 
-    // Children: flip each not-yet-pinned consult position to "mispredict".
-    for (uint64_t I = Tape.size(); I < Consults; ++I) {
-      std::vector<uint64_t> Child(Tape);
-      Child.resize(I, 0);
-      Child.push_back(1);
-      Work.push_back(std::move(Child));
+    // Pushed shallowest consult first, so the deepest flip runs next.
+    for (size_t I = 0; I < Children.size(); ++I) {
+      Children[I].PrefixLeaks.assign(Leaks.begin(),
+                                     Leaks.begin() + ChildLeaks[I]);
+      Work.push_back(std::move(Children[I]));
     }
   }
 

@@ -23,12 +23,15 @@
 ///    unmodelled territory (harness-space access, genuine RSB mismatch).
 ///
 /// Tape enumeration is the standard lazy-oracle DFS: run a tape (words
-/// beyond its end read as 0, "predict correctly"), observe how many
-/// oracle consults the run made, and branch a child tape per consult
-/// position not yet pinned.  Fenced programs collapse almost immediately
-/// — an excursion that hits a fence stops consulting — which is exactly
-/// why kocher-05's fenced tree is seconds here and 8M steps for the
-/// explorer.
+/// beyond its end read as 0, "predict correctly") and branch a child tape
+/// per oracle consult position the run made and the tape did not pin.  A
+/// child reads the same words as its parent up to the consult it flips,
+/// so it resumes from a copy-on-write snapshot of the parent's run there:
+/// each edge of the tape tree runs once (`SpsReport::RetiresTotal` still
+/// counts every tape's run in full).  Fenced programs collapse almost
+/// immediately — an excursion that hits a fence stops consulting — which
+/// is exactly why kocher-05's fenced tree is seconds here and 8M steps
+/// for the explorer.
 ///
 //===----------------------------------------------------------------------===//
 

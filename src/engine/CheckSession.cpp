@@ -2,9 +2,7 @@
 
 #include "engine/CheckSession.h"
 
-#include "engine/ProcessPool.h"
 #include "engine/ResultCache.h"
-#include "engine/Serialization.h"
 
 #include <atomic>
 #include <chrono>
@@ -37,8 +35,8 @@ CheckResult CheckSession::runOne(const CheckRequest &Req,
     Res.Opts.Threads = FrontierThreads ? FrontierThreads : 1;
 
   // The one resolution point: request-overrides-session (see
-  // CheckRequest::resolved).  The cache fingerprint and the wire
-  // serializer consume the same value.
+  // CheckRequest::resolved).  The cache fingerprint consumes the same
+  // value.
   const PassConfig &Passes = Req.resolved(Opts);
 
   Machine M(Req.Prog, Req.MOpts);
@@ -112,52 +110,6 @@ CheckResult CheckSession::check(const Program &P,
   return check(Req);
 }
 
-bool CheckSession::runOnWorkers(std::span<const CheckRequest> Reqs,
-                                std::span<const size_t> Pending,
-                                std::vector<CheckResult> &Results) const {
-  ProcessPool::Options POpts;
-  POpts.WorkerBinary =
-      Opts.WorkerBinary.empty() ? defaultWorkerBinary() : Opts.WorkerBinary;
-  POpts.Workers = Opts.Workers;
-  POpts.TimeoutSec = Opts.WorkerTimeoutSec;
-  ProcessPool Pool(POpts);
-  if (!Pool.ok())
-    return false;
-
-  // Each worker process explores single-request-at-a-time; give it the
-  // per-program frontier share the in-process pool would have used.
-  unsigned PerProgram = Opts.Threads / std::max(1u, Opts.Workers);
-  if (PerProgram == 0)
-    PerProgram = 1;
-
-  std::vector<size_t> Fallback = Pool.run(
-      Pending,
-      [&](size_t I) {
-        CheckRequest Wire = Reqs[I];
-        Wire.Opts.Threads =
-            Wire.Opts.Threads ? Wire.Opts.Threads : PerProgram;
-        return serializeWireRequest(Wire, Wire.resolved(Opts));
-      },
-      [&](size_t I, std::span<const uint8_t> Payload) {
-        std::optional<CheckResult> Res = deserializeCheckResult(Payload);
-        if (!Res)
-          return false;
-        Res->Id = Reqs[I].Id;
-        Results[I] = std::move(*Res);
-        return true;
-      });
-
-  // Whatever the pool could not finish — workers crashed twice, timed
-  // out, or all died — runs in-process on this thread.
-  for (size_t I : Fallback)
-    Results[I] = runOne(Reqs[I], Opts.Threads);
-
-  if (Cache)
-    for (size_t I : Pending)
-      Cache->storeResult(Reqs[I], Reqs[I].resolved(Opts), Results[I]);
-  return true;
-}
-
 std::vector<CheckResult>
 CheckSession::checkMany(std::span<const CheckRequest> Reqs) const {
   std::vector<CheckResult> Results(Reqs.size());
@@ -181,19 +133,6 @@ CheckSession::checkMany(std::span<const CheckRequest> Reqs) const {
   }
   if (Pending.empty())
     return Results;
-
-  // Worker-process backend: ship the serializable misses to sctworker
-  // subprocesses; anything non-wireable (custom Init, reuse filters,
-  // seen-state exports) stays in-process.
-  if (Opts.Workers > 0) {
-    std::vector<size_t> Wire, Local;
-    for (size_t I : Pending)
-      (wireable(Reqs[I]) ? Wire : Local).push_back(I);
-    if (!Wire.empty() && runOnWorkers(Reqs, Wire, Results))
-      Pending = std::move(Local);
-    if (Pending.empty())
-      return Results;
-  }
 
   auto ComputeAndStore = [&](size_t I, unsigned FrontierThreads) {
     Results[I] = runOne(Reqs[I], FrontierThreads);

@@ -28,20 +28,16 @@
 /// in through `CheckRequest::Opts` (or the session defaults, which the
 /// flag table in engine/SessionArgs.h fills from `--prune-seen`).
 ///
-/// **The audit service.**  Two session knobs turn checkMany into a
-/// persistent audit service (docs/ARCHITECTURE.md, "life of a cached
-/// audit"):
-///  - `SessionOptions::CacheDir` opens a content-addressed ResultCache
-///    (engine/ResultCache.h): before exploring, each request's canonical
-///    program hash + options fingerprint is looked up, and an unchanged
-///    case is served from disk (`CheckResult::FromCache`) instead of
-///    re-explored; fresh results are stored back atomically.
-///  - `SessionOptions::Workers` dispatches cache-missing requests to a
-///    pool of `sctworker` processes over pipes (engine/ProcessPool.h),
-///    with crash re-dispatch and timeout fallback to in-process checking.
-/// Both are keyed on the *serialized* request (engine/Serialization.h),
-/// which is why a request's pass options are one closed `PassConfig`
-/// value rather than session-inherited booleans.
+/// **The audit service.**  `SessionOptions::CacheDir` turns checkMany
+/// into a persistent audit service (docs/ARCHITECTURE.md, "life of a
+/// cached audit"): it opens a content-addressed ResultCache
+/// (engine/ResultCache.h), and before exploring, each request's canonical
+/// program hash + options fingerprint is looked up, so an unchanged case
+/// is served from disk (`CheckResult::FromCache`) instead of re-explored;
+/// fresh results are stored back atomically.  The key is computed from
+/// the *serialized* request (engine/Serialization.h), which is why a
+/// request's pass options are one closed `PassConfig` value rather than
+/// session-inherited booleans.
 ///
 /// **Thread-safety.**  A CheckSession is immutable after construction:
 /// `check()` and `checkMany()` are const, allocate all mutable state per
@@ -85,9 +81,9 @@ class ResultCache;
 /// The optional analysis passes of a check, as one closed value: witness
 /// minimization (engine/WitnessMinimizer.h) and the SPS proof backend
 /// (checker/SpsChecker.h), each with its knobs.  A PassConfig fully
-/// describes "which passes ran and how" — the cache fingerprint, the wire
-/// serializer, and CheckSession::runOne all consume the same resolved
-/// value, so what actually ran is never scattered across structs.
+/// describes "which passes ran and how" — the cache fingerprint and
+/// CheckSession::runOne consume the same resolved value, so what
+/// actually ran is never scattered across structs.
 struct PassConfig {
   /// Delta-debug every witness after exploration: each leak's `MinSched`
   /// is filled with a minimized schedule replaying to the identical
@@ -120,17 +116,6 @@ struct SessionOptions {
   /// Directory of the persistent content-addressed result cache
   /// (engine/ResultCache.h); empty = caching off.  Created on demand.
   std::string CacheDir;
-  /// Worker *processes* for checkMany: 0 = in-process (the thread pool
-  /// above); N > 0 dispatches serializable requests to N `sctworker`
-  /// subprocesses (engine/ProcessPool.h), falling back to in-process on
-  /// spawn failure, crash, or timeout.
-  unsigned Workers = 0;
-  /// Path of the worker binary; empty = "sctworker" next to the current
-  /// executable (or $SCT_WORKER_BIN).
-  std::string WorkerBinary;
-  /// Per-request worker timeout in seconds; an expired request's worker
-  /// is killed and the request re-runs in-process.
-  double WorkerTimeoutSec = 300.0;
 };
 
 /// One unit of analysis work: a program plus how to explore it.
@@ -147,8 +132,7 @@ struct CheckRequest {
   MachineOptions MOpts;
   /// Start from this configuration instead of Configuration::initial —
   /// lets differential drivers check mutated-secret variants through the
-  /// same API.  Custom-init requests are never cached or shipped to
-  /// worker processes.
+  /// same API.  Custom-init requests are never cached.
   std::optional<Configuration> Init;
   /// Pass configuration override.  Disengaged (the default) inherits the
   /// session's `SessionOptions::Passes`; an engaged value replaces it
@@ -158,7 +142,7 @@ struct CheckRequest {
 
   /// The passes this request actually runs under session \p SOpts:
   /// request-overrides-session, as one explicit function shared by
-  /// runOne, the cache fingerprint, and the wire serializer.
+  /// runOne and the cache fingerprint.
   const PassConfig &resolved(const SessionOptions &SOpts) const {
     return Passes ? *Passes : SOpts.Passes;
   }
@@ -219,10 +203,9 @@ public:
   CheckResult check(const Program &P) const;
   CheckResult check(const Program &P, const ExplorerOptions &EOpts) const;
 
-  /// Batch entry point: fans the requests out over the session's worker
-  /// pool — cache lookups first, then worker processes (Workers > 0) or
-  /// the in-process thread pool for the misses.  Results are returned in
-  /// request order regardless of which worker finished first.
+  /// Batch entry point: cache lookups first, then the misses fan out over
+  /// the session's thread pool.  Results are returned in request order
+  /// regardless of which worker finished first.
   std::vector<CheckResult> checkMany(std::span<const CheckRequest> Reqs) const;
 
   /// Batch convenience: checks each program under the session defaults.
@@ -236,19 +219,12 @@ private:
   /// runOne plus cache lookup/store (no-op without an open cache).
   CheckResult runOneCached(const CheckRequest &Req,
                            unsigned FrontierThreads) const;
-  /// Dispatches \p Pending (indices into \p Reqs) to a process pool;
-  /// returns false when no pool could be built (caller falls back to the
-  /// in-process path).  Computed results land in \p Results and the
-  /// cache.
-  bool runOnWorkers(std::span<const CheckRequest> Reqs,
-                    std::span<const size_t> Pending,
-                    std::vector<CheckResult> &Results) const;
 };
 
 /// Session options for a CLI driver, parsed by the declarative flag table
 /// in engine/SessionArgs.h (`--threads`, `--prune-seen` /
 /// `--no-prune-seen`, the `--minimize-*` family, `--prove-sps` /
-/// `--sps-max-tapes`, `--cache-dir`, `--workers`, ...),
+/// `--sps-max-tapes`, `--cache-dir`),
 /// defaulting the thread budget to the hardware concurrency.  Unknown
 /// arguments are ignored — drivers with their own flags use
 /// parseSessionArgs to see what was consumed.  A malformed flag value

@@ -32,9 +32,13 @@ ResultCache::ResultCache(std::string Dir) : Directory(std::move(Dir)) {
   Usable = !EC && std::filesystem::is_directory(Directory, EC) && !EC;
 }
 
+bool sct::cacheable(const CheckRequest &Req) {
+  return !Req.Init && !Req.Opts.Reuse && !Req.Opts.ExportSeenStates;
+}
+
 std::optional<ResultCache::Key>
 ResultCache::keyFor(const CheckRequest &Req, const PassConfig &Passes) {
-  if (!wireable(Req))
+  if (!cacheable(Req))
     return std::nullopt;
   Key K;
   K.ProgHash = programHash(Req.Prog);

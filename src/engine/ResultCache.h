@@ -22,7 +22,7 @@
 /// `tmp-<pid>-...` sibling and `rename`d into place, so concurrent
 /// sessions sharing a cache directory see complete entries or none.
 ///
-/// **What is cacheable.**  Exactly the `wireable()` requests: a custom
+/// **What is cacheable.**  Exactly the `cacheable()` requests: a custom
 /// initial configuration or a cross-exploration table handle (Reuse /
 /// ExportSeenStates) makes a check's outcome depend on state the key
 /// cannot see, so those requests bypass the cache wholesale.  The dual
@@ -44,6 +44,11 @@
 
 namespace sct {
 
+/// True iff \p Req's outcome is a function of what the cache key sees:
+/// no custom initial configuration and no cross-exploration table
+/// handles (Reuse / ExportSeenStates).
+bool cacheable(const CheckRequest &Req);
+
 /// Persistent content-addressed store of CheckResults.
 class ResultCache {
 public:
@@ -63,7 +68,7 @@ public:
 
   /// The content address of \p Req under resolved passes \p Passes, or
   /// nullopt for requests whose outcome the key cannot capture (custom
-  /// Init, reuse filters, seen-state exports — see wireable()).
+  /// Init, reuse filters, seen-state exports — see cacheable()).
   static std::optional<Key> keyFor(const CheckRequest &Req,
                                    const PassConfig &Passes);
 

@@ -1,12 +1,11 @@
-//===- engine/Serialization.cpp - Binary wire/cache format ------------------===//
+//===- engine/Serialization.cpp - Binary cache format -----------------------===//
 
 #include "engine/Serialization.h"
 
 #include "isa/ProgramBuilder.h"
 #include "support/Hashing.h"
 
-#include <cstdlib>
-#include <unistd.h>
+#include <cstring>
 
 using namespace sct;
 
@@ -415,8 +414,8 @@ void writeExploreResult(ByteWriter &W, const ExploreResult &E) {
   W.u64(E.ConfigsForked);
   W.u64(E.RobBytesCopied);
   W.u64(E.RobBytesFlat);
-  // SeenExport is a cross-exploration table handle; wireable() keeps it
-  // out of serialized requests, so results never carry one either.
+  // SeenExport is a cross-exploration table handle; cacheable() keeps
+  // such requests out of the cache, so stored results never carry one.
   W.b(E.Stats.has_value());
   if (E.Stats)
     writeExploreStats(W, *E.Stats);
@@ -570,12 +569,15 @@ void sct::writeExplorerOptions(ByteWriter &W, const ExplorerOptions &O) {
   W.u32(O.Threads);
   W.b(O.PruneSeen);
   W.b(O.ExportSeenStates);
-  // `Reuse` is a live table handle, not data; wireable() gates it out.
+  // `Reuse` is a live table handle, not data; cacheable() gates it out.
   W.b(O.CollectStats);
 }
 
 bool sct::readExplorerOptions(ByteReader &R, ExplorerOptions &O) {
   O.SpeculationBound = R.u32();
+  // explore() rejects bound 0, so no stored options can carry it.
+  if (!R.ok() || O.SpeculationBound == 0)
+    return false;
   O.ExploreForwardingHazards = R.b();
   O.ExhaustiveForwardForks = R.b();
   O.MaxBranchDepth = R.u32();
@@ -676,10 +678,6 @@ bool sct::readCheckResult(ByteReader &R, CheckResult &Res) {
 
 // ----------------------------------------------------- public: keys/payloads ---
 
-bool sct::wireable(const CheckRequest &Req) {
-  return !Req.Init && !Req.Opts.Reuse && !Req.Opts.ExportSeenStates;
-}
-
 uint64_t sct::hashBytes(std::span<const uint8_t> Bytes) {
   uint64_t H = HashSeed;
   size_t I = 0;
@@ -718,35 +716,6 @@ uint64_t sct::optionsFingerprint(const ExplorerOptions &EOpts,
   return hashBytes(W.buffer());
 }
 
-std::vector<uint8_t> sct::serializeWireRequest(const CheckRequest &Req,
-                                               const PassConfig &Passes) {
-  ByteWriter W;
-  W.u32(SerializationFormatVersion);
-  W.str(Req.Id);
-  writeProgram(W, Req.Prog);
-  writeExplorerOptions(W, Req.Opts);
-  writeMachineOptions(W, Req.MOpts);
-  writePassConfig(W, Passes);
-  return W.take();
-}
-
-std::optional<WireRequest>
-sct::deserializeWireRequest(std::span<const uint8_t> Payload) {
-  ByteReader R(Payload);
-  if (R.u32() != SerializationFormatVersion)
-    return std::nullopt;
-  WireRequest Req;
-  Req.Id = R.str();
-  std::optional<Program> P = readProgram(R);
-  if (!P)
-    return std::nullopt;
-  Req.Prog = std::move(*P);
-  if (!readExplorerOptions(R, Req.Opts) || !readMachineOptions(R, Req.MOpts) ||
-      !readPassConfig(R, Req.Passes) || !R.done())
-    return std::nullopt;
-  return Req;
-}
-
 std::vector<uint8_t> sct::serializeCheckResult(const CheckResult &Res) {
   ByteWriter W;
   W.u32(SerializationFormatVersion);
@@ -763,19 +732,4 @@ sct::deserializeCheckResult(std::span<const uint8_t> Payload) {
   if (!readCheckResult(R, Res) || !R.done())
     return std::nullopt;
   return Res;
-}
-
-std::string sct::defaultWorkerBinary() {
-  if (const char *Env = std::getenv("SCT_WORKER_BIN"))
-    return Env;
-  char Buf[4096];
-  ssize_t Len = ::readlink("/proc/self/exe", Buf, sizeof(Buf) - 1);
-  if (Len <= 0)
-    return "sctworker";
-  Buf[Len] = '\0';
-  std::string Path(Buf);
-  size_t Slash = Path.rfind('/');
-  if (Slash == std::string::npos)
-    return "sctworker";
-  return Path.substr(0, Slash + 1) + "sctworker";
 }

@@ -1,4 +1,4 @@
-//===- engine/Serialization.h - Binary wire/cache format -------*- C++ -*-===//
+//===- engine/Serialization.h - Binary cache format ------------*- C++ -*-===//
 //
 // Part of libsct, a reproduction of "Constant-Time Foundations for the New
 // Spectre Era" (Cauligi et al., PLDI 2020).
@@ -10,15 +10,10 @@
 /// option structs (ExplorerOptions / MachineOptions / PassConfig), and
 /// whole CheckResults (leak records with their raw and minimized
 /// schedules, SPS reports, minimization stats) round-trip exactly through
-/// a versioned little-endian format (support/ByteStream.h).  Two
-/// consumers share it:
-///
-///  - the persistent ResultCache (engine/ResultCache.h), which names
-///    entries by `programHash` + `optionsFingerprint` and stores
-///    serialized CheckResults on disk;
-///  - the worker-process backend (engine/ProcessPool.h + sctworker),
-///    which ships serialized CheckRequests over pipes and serialized
-///    CheckResults back.
+/// a versioned little-endian format (support/ByteStream.h).  Its consumer
+/// is the persistent ResultCache (engine/ResultCache.h), which names
+/// entries by `programHash` + `optionsFingerprint` and stores serialized
+/// CheckResults on disk.
 ///
 /// **Exactness.**  deserialize(serialize(x)) reproduces x field-by-field:
 /// Programs rebuild through ProgramBuilder's raw() path (which preserves
@@ -28,8 +23,7 @@
 /// generator.  Two runtime-only fields are deliberately outside the
 /// format: `ExploreResult::SeenExport` and `ExplorerOptions::Reuse` (both
 /// cross-exploration table handles).  Requests carrying them (or a
-/// custom `Init`) are not `wireable()` and never reach the cache or a
-/// worker.
+/// custom `Init`) are not `cacheable()` and never reach the cache.
 ///
 /// **Versioning.**  Every top-level payload starts with
 /// `SerializationFormatVersion`; readers reject other versions (a
@@ -46,7 +40,7 @@
 
 namespace sct {
 
-/// Bump on any wire/cache format change.
+/// Bump on any cache format change.
 inline constexpr uint32_t SerializationFormatVersion = 3;
 
 /// Field-level writers/readers (no version header; compose into the
@@ -67,20 +61,15 @@ bool readPassConfig(ByteReader &R, PassConfig &P);
 void writeCheckResult(ByteWriter &W, const CheckResult &Res);
 bool readCheckResult(ByteReader &R, CheckResult &Res);
 
-/// True iff \p Req can cross a serialization boundary: no custom initial
-/// configuration and no cross-exploration table handles (Reuse /
-/// ExportSeenStates).  The shared gate for caching and worker dispatch.
-bool wireable(const CheckRequest &Req);
-
 /// Canonical content hash of a program: a 64-bit hash over its
 /// serialized bytes, so two programs hash equal iff every instruction,
 /// register name, region, init, label, and the entry point agree.
 uint64_t programHash(const Program &P);
 
 /// Normalized fingerprint of everything that determines a check's
-/// *outcome*: explorer options (with the thread/shard execution knobs
-/// zeroed — the engine's determinism contract makes the leak set
-/// independent of them), machine options, and the resolved PassConfig.
+/// *outcome*: explorer options (with the thread count zeroed — the
+/// engine's determinism contract makes the leak set independent of it),
+/// machine options, and the resolved PassConfig.
 /// Includes the format version, so a format bump invalidates old cache
 /// entries wholesale.  docs/ARCHITECTURE.md states the completeness
 /// invariant: every behavior-affecting option must be in here.
@@ -88,32 +77,13 @@ uint64_t optionsFingerprint(const ExplorerOptions &EOpts,
                             const MachineOptions &MOpts,
                             const PassConfig &Passes);
 
-/// Top-level payloads (version header included).  The request payload
-/// carries the request's *resolved* pass configuration, so a worker needs
-/// no session context to reproduce the check.
-std::vector<uint8_t> serializeWireRequest(const CheckRequest &Req,
-                                          const PassConfig &Passes);
-struct WireRequest {
-  std::string Id;
-  Program Prog;
-  ExplorerOptions Opts;
-  MachineOptions MOpts;
-  PassConfig Passes;
-};
-std::optional<WireRequest>
-deserializeWireRequest(std::span<const uint8_t> Payload);
-
+/// Top-level result payload (version header included).
 std::vector<uint8_t> serializeCheckResult(const CheckResult &Res);
 std::optional<CheckResult>
 deserializeCheckResult(std::span<const uint8_t> Payload);
 
 /// 64-bit content hash of a byte buffer (hashCombine-chained words).
 uint64_t hashBytes(std::span<const uint8_t> Bytes);
-
-/// Default worker binary path: "sctworker" in the directory of the
-/// current executable, overridable via $SCT_WORKER_BIN.  May not exist —
-/// ProcessPool spawn failure falls back to in-process checking.
-std::string defaultWorkerBinary();
 
 } // namespace sct
 

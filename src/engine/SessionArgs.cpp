@@ -3,7 +3,6 @@
 #include "engine/SessionArgs.h"
 
 #include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,42 +13,29 @@
 
 using namespace sct;
 
-namespace {
-
-/// Thread and process counts above this are typos (or a negative number
-/// read as unsigned), not budgets: each one spawns an OS thread/process.
-constexpr uint64_t MaxWorkers = 1024;
-
-/// Value parsers throw std::invalid_argument; parseSessionArgs prefixes
-/// the flag name.
-[[noreturn]] void badValue(const char *V, const std::string &Expected) {
-  throw std::invalid_argument(std::string("invalid value '") + V +
-                              "' (expected " + Expected + ")");
-}
-
-/// Parses all of \p V as a decimal integer in [0, Max].
-uint64_t asCount(const char *V, uint64_t Max) {
+uint64_t sct::parseInteger(const char *V, uint64_t Min, uint64_t Max) {
   uint64_t N = 0;
   const char *End = V + std::strlen(V);
   auto [Ptr, Ec] = std::from_chars(V, End, N);
-  if (Ec != std::errc() || Ptr != End || N > Max)
-    badValue(V, "an integer in [0, " + std::to_string(Max) + "]");
+  if (Ec != std::errc() || Ptr != End || N < Min || N > Max)
+    throw std::invalid_argument(std::string("invalid value '") + V +
+                                "' (expected an integer in [" +
+                                std::to_string(Min) + ", " +
+                                std::to_string(Max) + "])");
   return N;
 }
+
+namespace {
+
+/// Thread counts above this are typos (or a negative number read as
+/// unsigned), not budgets: each one spawns an OS thread.
+constexpr uint64_t MaxWorkers = 1024;
+
 unsigned asWorkers(const char *V) {
-  return static_cast<unsigned>(asCount(V, MaxWorkers));
+  return static_cast<unsigned>(parseInteger(V, 0, MaxWorkers));
 }
 uint64_t asU64(const char *V) {
-  return asCount(V, std::numeric_limits<uint64_t>::max());
-}
-/// Parses all of \p V as a finite, non-negative number of seconds.
-double asSeconds(const char *V) {
-  double D = 0;
-  const char *End = V + std::strlen(V);
-  auto [Ptr, Ec] = std::from_chars(V, End, D);
-  if (Ec != std::errc() || Ptr != End || !std::isfinite(D) || D < 0)
-    badValue(V, "a non-negative number of seconds");
-  return D;
+  return parseInteger(V, 0, std::numeric_limits<uint64_t>::max());
 }
 
 // The one place a session flag is declared.  Rows parse *and* document:
@@ -104,16 +90,6 @@ constexpr SessionFlag Flags[] = {
     {"--cache-dir", "DIR",
      "persistent result cache: serve unchanged checks from DIR",
      [](SessionOptions &O, const char *V) { O.CacheDir = V; }},
-    {"--workers", "N", "dispatch checkMany to N sctworker processes",
-     [](SessionOptions &O, const char *V) { O.Workers = asWorkers(V); }},
-    {"--worker-bin", "PATH",
-     "worker binary (default: sctworker beside this executable)",
-     [](SessionOptions &O, const char *V) { O.WorkerBinary = V; }},
-    {"--worker-timeout", "SEC",
-     "kill a worker past SEC seconds on one request; re-run in-process",
-     [](SessionOptions &O, const char *V) {
-       O.WorkerTimeoutSec = asSeconds(V);
-     }},
 };
 
 } // namespace

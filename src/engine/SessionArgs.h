@@ -10,9 +10,9 @@
 /// lives in one declarative row — name, value placeholder, doc line,
 /// setter — so a new flag is one table entry instead of parallel edits in
 /// each driver's strcmp chain, and `--help` output is generated from the
-/// same rows that parse.  Shared by `sctcheck`, `sctworker`, and the
-/// bench mains; drivers with extra flags of their own call
-/// parseSessionArgs first and then walk the unconsumed arguments.
+/// same rows that parse.  Shared by `sctcheck` and the bench mains;
+/// drivers with extra flags of their own call parseSessionArgs first and
+/// then walk the unconsumed arguments.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,10 +57,16 @@ struct SessionArgs {
 /// (thread budget defaulted to the hardware concurrency), marking the
 /// consumed slots.  Unknown arguments are left untouched for the driver.
 /// A numeric value must be a whole decimal number within the flag's range
-/// (thread and process counts at most 1024, timeouts finite and
-/// non-negative); a bad value, or a value-taking flag with nothing after
-/// it, throws std::invalid_argument whose message names the flag.
+/// (thread counts at most 1024); a bad value, or a value-taking flag with
+/// nothing after it, throws std::invalid_argument whose message names the
+/// flag.
 SessionArgs parseSessionArgs(int Argc, char **Argv);
+
+/// The reader behind every numeric flag: parses all of \p V as a decimal
+/// integer in [\p Min, \p Max].  A sign, whitespace, trailing characters
+/// or an out-of-range value throws std::invalid_argument naming the value
+/// and the range; callers prefix the flag name.
+uint64_t parseInteger(const char *V, uint64_t Min, uint64_t Max);
 
 /// Help text generated from the table: one aligned "  --flag ARG  doc"
 /// row per entry, ready to append to a driver's usage output.

@@ -39,6 +39,7 @@
 #include <mutex>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 using namespace sct;
@@ -1099,6 +1100,8 @@ PC sct::leakOriginOf(const Configuration &C, const Directive &D) {
 
 ExploreResult sct::explore(const Machine &M, Configuration Init,
                            const ExplorerOptions &Opts) {
+  if (Opts.SpeculationBound == 0)
+    throw std::invalid_argument("explore: SpeculationBound must be at least 1");
   Engine E(M, Opts);
   return E.run(std::move(Init));
 }

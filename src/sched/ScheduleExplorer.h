@@ -267,7 +267,9 @@ struct ExploreResult {
   bool secure() const { return Leaks.empty(); }
 };
 
-/// Explores the worst-case schedules of \p M from \p Init.
+/// Explores the worst-case schedules of \p M from \p Init.  Throws
+/// std::invalid_argument when `Opts.SpeculationBound` is 0: nothing could
+/// ever be fetched, and no budget would stop the stalled schedule.
 ExploreResult explore(const Machine &M, Configuration Init,
                       const ExplorerOptions &Opts);
 

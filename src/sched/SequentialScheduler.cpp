@@ -41,7 +41,8 @@ std::vector<Value> peekOperands(const Configuration &C,
 }
 
 SequentialResult runSequentialUpTo(const Machine &M, Configuration Init,
-                                   size_t MaxRetires) {
+                                   size_t MaxRetires,
+                                   const BoundaryHook &AtBoundary) {
   const Program &P = M.program();
   const MachineOptions &Opts = M.options();
   SequentialResult R;
@@ -52,6 +53,8 @@ SequentialResult runSequentialUpTo(const Machine &M, Configuration Init,
       R.HitBound = true;
       return R;
     }
+    if (AtBoundary)
+      AtBoundary(R);
     Configuration &C = R.Run.Final;
     assert(C.Buf.empty() && "sequential boundary with non-empty buffer");
     const Instruction &I = P.at(C.N);
@@ -160,11 +163,12 @@ SequentialResult runSequentialUpTo(const Machine &M, Configuration Init,
 } // namespace
 
 SequentialResult sct::runSequential(const Machine &M, Configuration Init,
-                                    size_t MaxRetires) {
-  return runSequentialUpTo(M, std::move(Init), MaxRetires);
+                                    size_t MaxRetires,
+                                    const BoundaryHook &AtBoundary) {
+  return runSequentialUpTo(M, std::move(Init), MaxRetires, AtBoundary);
 }
 
 SequentialResult sct::runSequentialN(const Machine &M, Configuration Init,
                                      size_t N) {
-  return runSequentialUpTo(M, std::move(Init), N);
+  return runSequentialUpTo(M, std::move(Init), N, {});
 }

@@ -27,6 +27,8 @@
 
 #include "sched/Executor.h"
 
+#include <functional>
+
 namespace sct {
 
 /// Result of a sequential run.
@@ -38,11 +40,18 @@ struct SequentialResult {
   bool HitBound = false;
 };
 
+/// Called at each instruction boundary a sequential run passes (the
+/// buffer is empty and the retire bound not yet reached), before the
+/// instruction at `R.Run.Final.N` is fetched.
+using BoundaryHook = std::function<void(const SequentialResult &R)>;
+
 /// Runs the canonical sequential schedule from \p Init until the program
 /// finishes or \p MaxRetires retire directives have been issued
-/// (whichever comes first).
+/// (whichever comes first), calling \p AtBoundary (if set) at each
+/// instruction boundary.
 SequentialResult runSequential(const Machine &M, Configuration Init,
-                               size_t MaxRetires = 1 << 20);
+                               size_t MaxRetires = 1 << 20,
+                               const BoundaryHook &AtBoundary = {});
 
 /// Runs exactly \p N retire directives of the canonical sequential
 /// schedule (the ⇓^N_seq of Theorem B.7); stops early at program end.

@@ -9,7 +9,7 @@
 /// The byte-stream primitives under engine/Serialization.h: a growable
 /// little-endian writer and a bounds-checked reader with a sticky fail
 /// bit.  Fixed-width integers are written explicitly byte-by-byte (no
-/// struct memcpy), so the wire format is identical across hosts and a
+/// struct memcpy), so the byte format is identical across hosts and a
 /// format change is always a deliberate edit here or in the serializer —
 /// never an accidental ABI drift.
 ///

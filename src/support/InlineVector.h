@@ -183,8 +183,10 @@ private:
     if constexpr (std::is_trivially_copyable_v<T>) {
       // The common case is a whole-object copy at a schedule fork or a
       // chunk unshare; a straight memcpy beats the element loop's
-      // per-iteration branching.
-      std::memcpy(Inline, Elems.data(), Elems.size() * sizeof(T));
+      // per-iteration branching.  An empty span may have a null data(),
+      // which memcpy must never see, even for zero bytes.
+      if (!Elems.empty())
+        std::memcpy(Inline, Elems.data(), Elems.size() * sizeof(T));
       Size = static_cast<uint32_t>(Elems.size());
       return;
     }

@@ -8,6 +8,7 @@
 #include "workloads/SpectreSuites.h"
 
 #include <gtest/gtest.h>
+#include <stdexcept>
 
 using namespace sct;
 
@@ -112,6 +113,12 @@ TEST(Explorer, SpeculationBoundLimitsLeakDepth) {
   ExplorerOptions Wide = v1v11Mode();
   Wide.SpeculationBound = 20;
   EXPECT_FALSE(exploreProgram(P, Wide).secure());
+
+  // At bound 0 nothing can be fetched and forcing the oldest entry of an
+  // empty buffer takes no step, so no budget would ever end the run.
+  ExplorerOptions Zero = v1v11Mode();
+  Zero.SpeculationBound = 0;
+  EXPECT_THROW(exploreProgram(P, Zero), std::invalid_argument);
 }
 
 TEST(Explorer, ExhaustiveForwardForksAgreeOnSuiteVerdicts) {

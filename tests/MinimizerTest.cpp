@@ -503,20 +503,24 @@ TEST(Minimizer, SessionThreadsAndFlagsPlumbThrough) {
                "--minimize-budget");
   EXPECT_PRED2(Names, ParseError({"--sps-max-tapes", "99999999999999999999"}),
                "--sps-max-tapes");
-  EXPECT_PRED2(Names, ParseError({"--workers", " 2"}), "--workers");
-  EXPECT_PRED2(Names, ParseError({"--worker-timeout", "-5"}),
-               "--worker-timeout");
-  EXPECT_PRED2(Names, ParseError({"--worker-timeout", "1s"}),
-               "--worker-timeout");
-  EXPECT_PRED2(Names, ParseError({"--worker-timeout", "inf"}),
-               "--worker-timeout");
+  EXPECT_PRED2(Names, ParseError({"--minimize-threads", " 2"}),
+               "--minimize-threads");
+  EXPECT_PRED2(Names, ParseError({"--minimize-threads", "99999"}),
+               "--minimize-threads");
   // A trailing value-taking flag with nothing after it.
   EXPECT_PRED2(Names, ParseError({"--no-prune-seen", "--threads"}),
                "--threads");
   // Well-formed values at the range edges still parse.
   EXPECT_EQ(ParseError({"--threads", "0", "--minimize-budget",
-                        "18446744073709551615", "--worker-timeout", "2.5"}),
+                        "18446744073709551615"}),
             "");
+  // The same reader serves drivers' own flags with other ranges
+  // (sctcheck's --bound is [1, 2^32 - 1]).
+  constexpr uint64_t U32Max = 4294967295u;
+  EXPECT_EQ(parseInteger("4294967295", 1, U32Max), U32Max);
+  EXPECT_EQ(parseInteger("1", 1, U32Max), 1u);
+  for (const char *Bad : {"0", "-1", "abc", "4294967296", "+5", ""})
+    EXPECT_THROW(parseInteger(Bad, 1, U32Max), std::invalid_argument) << Bad;
   // The driver-facing wrapper turns the error into exit status 2.
   const char *Bad[] = {"bench", "--threads", "-1"};
   EXPECT_EXIT(sessionOptionsFromArgs(3, const_cast<char **>(Bad)),

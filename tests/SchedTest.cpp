@@ -92,6 +92,41 @@ TEST(Sequential, NeverRollsBackOnStraightPrograms) {
   EXPECT_EQ(R.Run.Retires, 16u);
 }
 
+// The SPS checker resumes child tapes from boundary snapshots: a run
+// resumed from any boundary must end where the whole run ends, with the
+// retires split exactly at the snapshot.
+TEST(Sequential, BoundarySnapshotsResumeToTheSameEnd) {
+  Program P = parseAsmOrDie(R"(
+    .reg ra rb i
+    .region D 0x40 8 public
+    start:
+      i = mov 0
+    loop:
+      ra = load [0x40, i]
+      rb = add rb, ra
+      store rb, [0x44, i]
+      i = add i, 1
+      br ult i, 3 -> loop, out
+    out:
+  )");
+  Machine M(P);
+  std::vector<Configuration> Snaps;
+  std::vector<size_t> RetiresAt;
+  SequentialResult Whole = runSequential(
+      M, Configuration::initial(P), 1 << 20, [&](const SequentialResult &S) {
+        EXPECT_TRUE(S.Run.Final.Buf.empty());
+        EXPECT_EQ(S.Run.Retires, Snaps.size());
+        Snaps.push_back(S.Run.Final);
+        RetiresAt.push_back(S.Run.Retires);
+      });
+  ASSERT_EQ(Snaps.size(), 16u); // One boundary per retired instruction.
+  for (size_t I = 0; I < Snaps.size(); ++I) {
+    SequentialResult Rest = runSequential(M, Snaps[I]);
+    EXPECT_EQ(Rest.Run.Final, Whole.Run.Final) << "boundary " << I;
+    EXPECT_EQ(RetiresAt[I] + Rest.Run.Retires, Whole.Run.Retires);
+  }
+}
+
 TEST(Sequential, HitsBoundOnInfiniteLoops) {
   Program P = parseAsmOrDie(R"(
     .reg ra

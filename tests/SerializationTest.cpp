@@ -1,4 +1,4 @@
-//===- tests/SerializationTest.cpp - Wire/cache format round-trips ----------===//
+//===- tests/SerializationTest.cpp - Cache format round-trips ---------------===//
 //
 // The serialization layer's exactness contract (engine/Serialization.h):
 // deserialize(serialize(x)) == x field-by-field, and re-serializing the
@@ -220,6 +220,15 @@ TEST(Serialization, OptionsRejectOutOfRangeEnums) {
   ByteReader R(Bytes);
   MachineOptions M2;
   EXPECT_FALSE(readMachineOptions(R, M2));
+
+  // A zero speculation bound is one explore() would refuse to run.
+  ExplorerOptions E;
+  E.SpeculationBound = 0;
+  ByteWriter WE;
+  writeExplorerOptions(WE, E);
+  ByteReader RE(WE.buffer());
+  ExplorerOptions E2;
+  EXPECT_FALSE(readExplorerOptions(RE, E2));
 }
 
 TEST(Serialization, FingerprintNormalizesExecutionKnobsOnly) {
@@ -255,7 +264,7 @@ TEST(Serialization, FingerprintNormalizesExecutionKnobsOnly) {
 
 TEST(Serialization, ExploredCheckResultRoundTripsByteExact) {
   // Real results with leak records, minimized schedules, and an SPS
-  // report — the full payload a cache entry or worker reply carries.
+  // report — the full payload a cache entry carries.
   SuiteCase C = kocherCases().front();
   SessionOptions SOpts;
   SOpts.Threads = 1;
@@ -275,7 +284,7 @@ TEST(Serialization, ExploredCheckResultRoundTripsByteExact) {
   EXPECT_EQ(Bytes, serializeCheckResult(*Back));
   EXPECT_EQ(Back->Id, Res.Id);
   EXPECT_EQ(Back->Seconds, Res.Seconds);
-  // Fork-copy accounting rides the wire: a real exploration forked at
+  // Fork-copy accounting is serialized: a real exploration forked at
   // least once, and the counters survive the trip.
   EXPECT_GT(Res.Exploration.ConfigsForked, 0u);
   EXPECT_EQ(Back->Exploration.ConfigsForked, Res.Exploration.ConfigsForked);
@@ -313,6 +322,31 @@ TEST(Serialization, ExploredCheckResultRoundTripsByteExact) {
     EXPECT_EQ(SpsBack->Sps->CounterExamples.size(),
               SpsRes.Sps->CounterExamples.size());
   }
+
+  // Every pass at once: minimized witnesses beside an SPS report under
+  // the depth-to-window translation.
+  SessionOptions AllOpts;
+  AllOpts.Threads = 1;
+  AllOpts.Passes.MinimizeWitnesses = true;
+  AllOpts.Passes.ProveSps = true;
+  AllOpts.Passes.Sps.DepthToWindow = true;
+  CheckSession AllSession(AllOpts);
+  std::vector<SuiteCase> Kocher = kocherCases();
+  for (size_t I = 0; I < 3; ++I) {
+    const SuiteCase &K = Kocher[I];
+    CheckRequest AllReq;
+    AllReq.Id = "all/" + K.Id;
+    AllReq.Prog = K.Prog;
+    AllReq.Opts = v1v11Mode();
+    CheckResult AllRes = AllSession.check(AllReq);
+    ASSERT_TRUE(AllRes.Sps.has_value()) << K.Id;
+    EXPECT_TRUE(AllRes.Minimization.has_value() || AllRes.Sps->conclusive())
+        << K.Id;
+    std::vector<uint8_t> AllBytes = serializeCheckResult(AllRes);
+    std::optional<CheckResult> AllBack = deserializeCheckResult(AllBytes);
+    ASSERT_TRUE(AllBack.has_value()) << K.Id;
+    EXPECT_EQ(AllBytes, serializeCheckResult(*AllBack)) << K.Id;
+  }
 }
 
 TEST(Serialization, ResultRejectsVersionSkewAndBitFlips) {
@@ -332,37 +366,6 @@ TEST(Serialization, ResultRejectsVersionSkewAndBitFlips) {
         deserializeCheckResult(std::span<const uint8_t>(Bytes.data(), Len))
             .has_value())
         << "len " << Len;
-}
-
-TEST(Serialization, WireRequestCarriesResolvedPasses) {
-  SuiteCase C = kocherCases().front();
-  CheckRequest Req;
-  Req.Id = "wire";
-  Req.Prog = C.Prog;
-  Req.Opts = v4Mode();
-  Req.Opts.Threads = 2;
-  PassConfig Passes;
-  Passes.MinimizeWitnesses = true;
-  Passes.Minimize.MaxReplays = 1234;
-
-  ASSERT_TRUE(wireable(Req));
-  std::vector<uint8_t> Bytes = serializeWireRequest(Req, Passes);
-  std::optional<WireRequest> W = deserializeWireRequest(Bytes);
-  ASSERT_TRUE(W.has_value());
-  EXPECT_EQ(W->Id, "wire");
-  EXPECT_EQ(W->Opts.Threads, 2u);
-  EXPECT_EQ(W->Opts.SpeculationBound, Req.Opts.SpeculationBound);
-  EXPECT_TRUE(W->Passes.MinimizeWitnesses);
-  EXPECT_EQ(W->Passes.Minimize.MaxReplays, 1234u);
-  expectProgramsEqual(Req.Prog, W->Prog);
-
-  // Non-wireable requests: custom Init / reuse / export.
-  CheckRequest WithInit = Req;
-  WithInit.Init = Configuration::initial(C.Prog);
-  EXPECT_FALSE(wireable(WithInit));
-  CheckRequest WithExport = Req;
-  WithExport.Opts.ExportSeenStates = true;
-  EXPECT_FALSE(wireable(WithExport));
 }
 
 //===--------------------------------------------------------- cache layer ---===//
@@ -481,6 +484,21 @@ TEST(ResultCacheTest, CorruptedAndTruncatedEntriesAreMisses) {
   EXPECT_FALSE(Bad.ok());
 }
 
+TEST(ResultCacheTest, CacheableExcludesInitAndTableHandles) {
+  SuiteCase C = kocherCases().front();
+  CheckRequest Req;
+  Req.Prog = C.Prog;
+  Req.Opts = v4Mode();
+  ASSERT_TRUE(cacheable(Req));
+
+  CheckRequest WithInit = Req;
+  WithInit.Init = Configuration::initial(C.Prog);
+  EXPECT_FALSE(cacheable(WithInit));
+  CheckRequest WithExport = Req;
+  WithExport.Opts.ExportSeenStates = true;
+  EXPECT_FALSE(cacheable(WithExport));
+}
+
 TEST(ResultCacheTest, CheckManyWarmPassIsAllHits) {
   CacheDirGuard Dir;
   SessionOptions SOpts;
@@ -510,4 +528,49 @@ TEST(ResultCacheTest, CheckManyWarmPassIsAllHits) {
     EXPECT_EQ(serializeCheckResult(R1[I]), serializeCheckResult(R2[I]))
         << Reqs[I].Id;
   }
+}
+
+TEST(ResultCacheTest, UncacheableRequestsAreComputedNotStored) {
+  // A seen-state export and a custom initial configuration make a
+  // request's outcome depend on state the key cannot see: inside a cached
+  // batch they are computed every time, never stored, and come out as an
+  // uncached session computes them.
+  CacheDirGuard Dir;
+  std::vector<CheckRequest> Reqs;
+  for (size_t I = 0; I < 4 && I < kocherCases().size(); ++I) {
+    CheckRequest Req;
+    Req.Id = kocherCases()[I].Id;
+    Req.Prog = kocherCases()[I].Prog;
+    Req.Opts = v1v11Mode();
+    Reqs.push_back(std::move(Req));
+  }
+  ASSERT_EQ(Reqs.size(), 4u);
+  Reqs[1].Opts.ExportSeenStates = true;
+  Reqs[2].Init = Configuration::initial(Reqs[2].Prog);
+
+  SessionOptions Plain;
+  Plain.Threads = 1;
+  std::vector<CheckResult> Expected =
+      CheckSession(Plain).checkMany(std::span<const CheckRequest>(Reqs));
+
+  SessionOptions Cached = Plain;
+  Cached.CacheDir = Dir.path();
+  CheckSession Session(Cached);
+  // The second batch serves the two cacheable requests from disk and
+  // computes the other two again.
+  for (int Pass = 0; Pass < 2; ++Pass) {
+    std::vector<CheckResult> Got =
+        Session.checkMany(std::span<const CheckRequest>(Reqs));
+    ASSERT_EQ(Got.size(), Reqs.size());
+    for (size_t I = 0; I < Reqs.size(); ++I) {
+      SCOPED_TRACE("pass " + std::to_string(Pass) + " " + Reqs[I].Id);
+      EXPECT_EQ(Got[I].FromCache, Pass == 1 && cacheable(Reqs[I]));
+      // Wall-clock is the only field that may differ between runs.
+      CheckResult A = Expected[I], B = Got[I];
+      A.Seconds = B.Seconds = 0;
+      EXPECT_EQ(serializeCheckResult(A), serializeCheckResult(B));
+    }
+  }
+  EXPECT_EQ(Session.cache()->stores(), 2u);
+  EXPECT_EQ(Session.cache()->hits(), 2u);
 }
