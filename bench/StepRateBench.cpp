@@ -1,17 +1,27 @@
 //===- bench/StepRateBench.cpp - Engine core step rate --------------------===//
 //
-// The tentpole measurement for the cache-friendly engine core (flat COW
-// memory, chunked structurally-shared ROB with a lazily-folded
-// incremental fingerprint, flat seen-state table): per-core steps/sec on
-// the two largest pruned v4 crypto trees, against the **pre-PR layout**
-// — the node-based engine this rewrite replaced.  Each run also records
-// the fork-copy accounting (configurations forked, ROB bytes actually
-// moved vs. the flat-slab equivalent): the chunked layout's sharing is
-// what turned fork cost from O(live suffix) into O(delta).
+// Engine core step rate: per-core steps/sec on the two largest pruned v4
+// crypto trees and on the bound-250 MEE-CBC C tree of the paper's v1/v1.1
+// mode, each against the **pre-PR engine** its speedup target was set
+// against:
+//  - the v4 trees against the node-based engine that the cache-friendly
+//    core (flat COW memory, chunked structurally-shared ROB with a
+//    lazily-folded incremental fingerprint, flat seen-state table)
+//    replaced;
+//  - the bound-250 tree against the engine before the reorder buffer's
+//    derived indices, which scanned the window for every register lookup
+//    and speculation-depth query and copied the configuration to probe
+//    each branch.
+// That tree stops at the step budget, so its leak set depends on drain
+// order: it runs at Threads=1 only, and `--quick` cuts its budget to
+// QuickBound250Steps.  Each run also records the fork-copy accounting
+// (configurations forked, ROB bytes actually moved vs. the flat-slab
+// equivalent): the chunked layout's sharing is what turned fork cost
+// from O(live suffix) into O(delta).
 //
-// The old layout no longer exists in this binary, so its rates are
+// The old engines no longer exist in this binary, so their rates are
 // embedded below as measured constants with provenance (same machine,
-// equivalent best-of driver, runs interleaved with the new layout to
+// equivalent best-of driver, runs interleaved with the new engine to
 // cancel machine drift; identity digests over full leak records were
 // byte-identical).  `--prepr ID=RATE` re-anchors them after
 // re-measuring on different hardware.
@@ -54,20 +64,33 @@ using namespace sct;
 
 namespace {
 
-/// Pre-PR layout per-core steps/sec at Threads=1 (prune on), measured at
-/// the growth-seed commit with an equivalent driver: best of interleaved
-/// best-of-5 timed explores, -O2 -DNDEBUG, same machine as the committed
-/// BENCH_STEPRATE.json.  Leak records, raw schedules, and minimized
-/// schedules were byte-identical between the layouts at Threads=1 (full
-/// record digest) and leak-key sets equal at Threads=8.
+/// Pre-PR per-core steps/sec at Threads=1 (prune on), measured with an
+/// equivalent driver: best of interleaved best-of-5 timed explores, same
+/// machine as the committed BENCH_STEPRATE.json.  Leak records, raw
+/// schedules, and minimized schedules were byte-identical between the
+/// engines at Threads=1 (full record digest), and for the v4 trees
+/// leak-key sets were equal at Threads=8.
 struct PreprBaseline {
   const char *Id;
   double PerCoreT1;
+  const char *Provenance;
 };
 PreprBaseline PreprBaselines[] = {
-    {"mee-c-v4", 2571788.0},
-    {"ssl3-c-v4", 2103168.0},
+    {"mee-c-v4", 2571788.0,
+     "node-based engine at the growth-seed commit, before the "
+     "flat-memory/arena/incremental-hash rewrite; -O2 -DNDEBUG"},
+    {"ssl3-c-v4", 2103168.0,
+     "node-based engine at the growth-seed commit, before the "
+     "flat-memory/arena/incremental-hash rewrite; -O2 -DNDEBUG"},
+    {"mee-c-v1v11-b250", 1582131.4,
+     "engine before the reorder buffer's derived indices: window scans "
+     "for register lookups and speculation depth, copy-and-step branch "
+     "probes; -O2 -g -DNDEBUG"},
 };
+
+/// The bound-250 tree's step budget under --quick (the full run keeps
+/// v1v11Mode()'s 8M-step budget).
+constexpr uint64_t QuickBound250Steps = 1u << 20;
 
 /// Timed explores repeat this many times per cell; the best wall time
 /// wins (the usual bench defence against scheduler noise).
@@ -77,6 +100,9 @@ struct BenchCase {
   std::string Id;
   Program Prog;
   ExplorerOptions Mode;
+  /// The tree stops at its step budget, so only the sequential drain
+  /// order is reproducible: run at Threads=1 only.
+  bool SequentialOnly = false;
 };
 
 struct RunRecord {
@@ -209,6 +235,13 @@ double preprRate(const std::string &Id) {
   return 0;
 }
 
+const char *preprProvenance(const std::string &Id) {
+  for (const PreprBaseline &B : PreprBaselines)
+    if (Id == B.Id)
+      return B.Provenance;
+  return "";
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -266,6 +299,18 @@ int main(int Argc, char **Argv) {
     Ssl.Mode = v4Mode();
     Cases.push_back(std::move(Ssl));
   }
+  {
+    // The paper's Table 2 bottleneck: MEE-CBC C in v1/v1.1 mode at
+    // speculation bound 250 runs out its step budget.
+    BenchCase Mee250;
+    Mee250.Id = "mee-c-v1v11-b250";
+    Mee250.Prog = meeC().Prog;
+    Mee250.Mode = v1v11Mode();
+    if (Quick)
+      Mee250.Mode.MaxTotalSteps = QuickBound250Steps;
+    Mee250.SequentialOnly = true;
+    Cases.push_back(std::move(Mee250));
+  }
 
   std::vector<unsigned> ThreadCounts =
       Quick ? std::vector<unsigned>{1} : std::vector<unsigned>{1, 2, 4, 8};
@@ -280,13 +325,12 @@ int main(int Argc, char **Argv) {
   std::fprintf(
       Out,
       "{\n  \"bench\": \"engine-step-rate\",\n"
-      "  \"baseline\": \"pre-PR layout (node-based engine before the "
-      "flat-memory/arena/incremental-hash rewrite)\",\n"
-      "  \"pre_pr_provenance\": \"per-core steps/sec at Threads=1 measured "
-      "at the growth-seed commit with an equivalent best-of driver, "
-      "interleaved with the new layout on the same machine; leak records, "
-      "raw schedules, and minimized schedules byte-identical at Threads=1, "
-      "leak-key sets equal at Threads=8\",\n"
+      "  \"baseline\": \"per case, the pre-PR engine its speedup target "
+      "was set against (the case's pre_pr_provenance)\",\n"
+      "  \"pre_pr_method\": \"per-core steps/sec at Threads=1 measured "
+      "with an equivalent best-of driver, interleaved with the new engine "
+      "on the same machine; leak records, raw schedules, and minimized "
+      "schedules byte-identical at Threads=1\",\n"
       "  \"calibration_hashes_per_sec\": %.0f,\n"
       "  \"target_per_core_speedup_at_1_thread\": 2.0,\n"
       "  \"cases\": [\n",
@@ -310,6 +354,8 @@ int main(int Argc, char **Argv) {
     double New1 = 0;
     bool T1Identical = true, T1MinIdentical = true;
     for (unsigned T : ThreadCounts) {
+      if (T > 1 && C.SequentialOnly)
+        break;
       auto [Rec, Res] = runOne(C, T, RefLeaks);
       if (T == 1) {
         New1 = Rec.perCore();
@@ -366,13 +412,17 @@ int main(int Argc, char **Argv) {
 
     std::fprintf(Out, "    {\"id\": \"%s\",\n", C.Id.c_str());
     std::fprintf(Out,
+                 "     \"max_total_steps\": %llu,\n"
+                 "     \"pre_pr_provenance\": \"%s\",\n"
                  "     \"pre_pr_per_core_steps_per_sec_at_1_thread\": %.1f,\n"
                  "     \"per_core_speedup_vs_pre_pr_at_1_thread\": %.3f,\n"
                  "     \"rob_flat_over_copied_at_1_thread\": %.2f,\n"
                  "     \"t1_records_identical\": %s,\n"
                  "     \"t1_minimized_identical\": %s,\n"
                  "     \"runs\": [\n",
-                 Prepr, Speedup1, Share1, T1Identical ? "true" : "false",
+                 static_cast<unsigned long long>(C.Mode.MaxTotalSteps),
+                 preprProvenance(C.Id), Prepr, Speedup1, Share1,
+                 T1Identical ? "true" : "false",
                  T1MinIdentical ? "true" : "false");
     for (size_t I = 0; I < Runs.size(); ++I)
       jsonRun(Out, Runs[I], I + 1 == Runs.size());

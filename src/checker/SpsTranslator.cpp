@@ -345,7 +345,7 @@ void Emitter::emitSpecBlock(PC Pc, const Instruction &I) {
       break;
     }
     // Nested wrong guesses are depth-gated exactly like the explorer's
-    // branchDepth < MaxBranchDepth fork filter; a correctly guessed
+    // controlDepth() < MaxBranchDepth fork filter; a correctly guessed
     // nested branch resolves in place and emits the same jump
     // observation as cond-execute-correct.
     std::string Consult = "sk" + std::to_string(Pc);

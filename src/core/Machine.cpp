@@ -86,31 +86,19 @@ StepOutcome ok(RuleId Rule, Observation Obs = Observation::none()) {
 
 std::optional<Value> Machine::resolveReg(const Configuration &C, BufIdx I,
                                          Reg R) const {
-  const ReorderBuffer &Buf = C.Buf;
-  std::optional<Value> Res;
-  bool Found = Buf.scanReverse(
-      Buf.minIndex(), I, [&](BufIdx, const TransientInstr &T) {
-        if (!T.assignsReg(R))
-          return false;
-        switch (T.Kind) {
-        case TransientKind::ResolvedValue:
-        case TransientKind::LoadResolved:
-          Res = T.Val;
-          break;
-        case TransientKind::LoadGuessed:
-          // §3.5: a partially resolved load supplies its predicted value.
-          Res = T.Val;
-          break;
-        default:
-          // Latest assignment is unresolved: (buf +i ρ)(r) = ⊥.
-          break;
-        }
-        return true;
-      });
-  if (Found)
-    return Res;
-  // No pending assignment: fall through to the register map ρ.
-  return C.Regs.get(R);
+  BufIdx J = C.Buf.lastWriterBefore(R, I);
+  if (!J) // No pending assignment: fall through to the register map ρ.
+    return C.Regs.get(R);
+  const TransientInstr &T = C.Buf.at(J);
+  switch (T.Kind) {
+  case TransientKind::ResolvedValue:
+  case TransientKind::LoadResolved:
+  case TransientKind::LoadGuessed: // §3.5: its predicted value.
+    return T.Val;
+  default:
+    // Latest assignment is unresolved: (buf +i ρ)(r) = ⊥.
+    return std::nullopt;
+  }
 }
 
 std::optional<Value> Machine::resolveOperand(const Configuration &C, BufIdx I,
@@ -360,10 +348,7 @@ std::optional<StepOutcome> Machine::stepExecute(Configuration &C,
     Value Leak(Actual, Cond.Taint);
     if (Actual == T.N0) {
       // Rule cond-execute-correct.
-      PC Origin = T.Origin;
-      BufIdx Leader = T.GroupLeader;
-      T = TransientInstr::makeJump(Actual, Origin);
-      T.GroupLeader = Leader;
+      C.Buf.resolveControl(I, Actual);
       return ok(RuleId::CondExecuteCorrect, Observation::jump(Leak));
     }
     // Rule cond-execute-incorrect: discard this entry and everything
@@ -388,10 +373,7 @@ std::optional<StepOutcome> Machine::stepExecute(Configuration &C,
     Value Leak(Actual, Target.Taint);
     if (Actual == T.N0) {
       // Rule jmpi-execute-correct.
-      PC Origin = T.Origin;
-      BufIdx Leader = T.GroupLeader;
-      T = TransientInstr::makeJump(Actual, Origin);
-      T.GroupLeader = Leader;
+      C.Buf.resolveControl(I, Actual);
       return ok(RuleId::JmpiExecuteCorrect, Observation::jump(Leak));
     }
     // Rule jmpi-execute-incorrect.

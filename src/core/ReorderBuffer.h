@@ -79,6 +79,39 @@
 /// tests/HashEquivalenceTest.cpp, and invariant 4 in docs/ARCHITECTURE.md
 /// spells out the maintenance contract.
 ///
+/// **Derived indices: O(1) answers to the fetch path's window questions.**
+/// Three pieces of state are pure functions of the live entries, kept so
+/// the machine and explorer never walk the window for them:
+///
+///  - *Previous-writer links* (the §3.3 rename index).  Every slot stores,
+///    in its chunk beside the entry, the index of the youngest entry that
+///    assigned the same register when it was pushed (0 if none).  A link
+///    is set once at push and never changes: entries only ever resolve in
+///    place within their shape class (TransientInstr::assignedReg), and
+///    rollback removes only younger entries.  A link may dangle below
+///    Base after retirement; readers stop there.
+///  - *The youngest-writer table*, per copy: for each register, the
+///    youngest live entry assigning it, or 0.  push() sets it,
+///    popFront() clears a register whose youngest writer retires, and
+///    truncateFrom() walks each register's chain back below the cut.  A
+///    lookup `(buf +i ρ)(r)` (lastWriterBefore) starts at the table and
+///    follows links until it drops below i — one hop at the fetch point —
+///    racing a plain scan down from i, which wins deep in the window.
+///    The table lives inline for up to 32 registers — the corpus
+///    programs and their SPS translations (which add 13) — so copies do
+///    not allocate.
+///  - *The control list*, per copy: live unresolved Branch/JumpI indices,
+///    ascending, kept exactly like the fence list — appended at push,
+///    front-dropped at popFront, suffix-dropped at truncateFrom, and
+///    erased by resolveControl(), the one in-place resolution of control
+///    flow.  Speculation depth is its size; the speculative-shadow test
+///    is a front compare.
+///
+/// None of it is part of the buffer's value: operator== and every hash
+/// ignore it, exactly as they ignore the fence list.
+/// tests/RenameIndexTest.cpp checks all three against window scans
+/// after every step of generated programs' schedules.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SCT_CORE_REORDERBUFFER_H
@@ -94,7 +127,6 @@
 #include <cassert>
 #include <memory>
 #include <optional>
-#include <vector>
 
 namespace sct {
 
@@ -232,6 +264,45 @@ public:
     return !Fences.empty() && Fences.front() < I;
   }
 
+  /// True iff unresolved control flow (a Branch or JumpI entry) precedes
+  /// index \p I: entries from \p I on sit in a speculative shadow and a
+  /// rollback may squash them before they retire.
+  bool hasControlBefore(BufIdx I) const {
+    return !Controls.empty() && Controls.front() < I;
+  }
+
+  /// Number of unresolved branches and indirect jumps in flight — the
+  /// current nesting depth of speculation.
+  size_t controlDepth() const { return Controls.size(); }
+
+  /// The youngest live entry assigning \p R, or 0 if none does.
+  BufIdx youngestWriter(Reg R) const {
+    return R.id() < Youngest.size() ? Youngest[R.id()] : 0;
+  }
+
+  /// The youngest live entry below index \p I that assigns \p R, or 0
+  /// when none does and `(buf +i ρ)(r)` falls through to ρ.  Two walks
+  /// race, one step each per round: down the previous-writer chain from
+  /// youngestWriter() (one hop per writer of \p R at or above \p I) and
+  /// down the window from \p I (one entry per step).  The first to reach
+  /// the answer wins, so a lookup costs twice the shorter walk: O(1) at
+  /// nextIndex(), where the fetch path asks, and never worse than a scan
+  /// deep in the window, where the chain is long (a fence-blocked
+  /// branch's condition read behind many younger writers).
+  BufIdx lastWriterBefore(Reg R, BufIdx I) const {
+    if (I <= Base)
+      return 0;
+    BufIdx J = youngestWriter(R), S = I;
+    while (J >= I) { // J >= I > Base: live, so its link is readable.
+      if (S == Base)
+        return 0; // The scan covered [Base, I) and found no writer.
+      if (at(--S).assignedReg() == R)
+        return S;
+      J = prevWriter(J);
+    }
+    return J >= Base ? J : 0;
+  }
+
   /// Read-only access.  Never unshares a chunk.
   const TransientInstr &at(BufIdx I) const {
     assert(contains(I) && "index not live");
@@ -308,6 +379,23 @@ public:
     return R.Ptr->E[S];
   }
 
+  /// Resolves the unresolved branch or indirect jump at \p I in place
+  /// into `jump Target` (the cond/jmpi-execute-correct rules), keeping its
+  /// origin and group leader, and drops it from the control list.
+  void resolveControl(BufIdx I, PC Target) {
+    TransientInstr &T = mut(I);
+    assert(T.isUnresolvedControl() && "resolving a non-control entry");
+    BufIdx Leader = T.GroupLeader;
+    T = TransientInstr::makeJump(Target, T.Origin);
+    T.GroupLeader = Leader;
+    for (size_t K = Controls.size(); K-- > 0;)
+      if (Controls[K] == I) {
+        Controls.erase(K);
+        return;
+      }
+    assert(false && "unresolved control entry missing from the list");
+  }
+
   /// Appends \p T at the tail of the open chunk (opening a fresh one as
   /// needed) and returns its index.  A defaulted GroupLeader resolves to
   /// the entry's own index (it leads its own speculation group until a
@@ -317,8 +405,19 @@ public:
     BufIdx I = nextIndex();
     if (T.GroupLeader == 0)
       T.GroupLeader = I;
+    // Pushes ascend, so both index lists stay sorted.
     if (T.is(TransientKind::Fence))
-      Fences.push_back(I); // Pushes ascend, so Fences stays sorted.
+      Fences.push_back(I);
+    if (T.isUnresolvedControl())
+      Controls.push_back(I);
+    BufIdx Prev = 0;
+    if (std::optional<Reg> W = T.assignedReg()) {
+      while (Youngest.size() <= W->id())
+        Youngest.push_back(0);
+      Prev = Youngest[W->id()];
+      assert(Prev < I && "youngest-writer table holds a squashed index");
+      Youngest[W->id()] = I;
+    }
     if (Chunks.empty() || OpenN == ChunkCap) {
       std::shared_ptr<Chunk> P = Spare ? std::move(Spare) : newChunk();
       // Stale entries/memos in a recycled chunk are fine: a slot becomes
@@ -332,6 +431,7 @@ public:
       R.Ptr = cloneChunk(*R.Ptr, OpenN);
     size_t S = OpenN;
     R.Ptr->E[S] = std::move(T);
+    R.Ptr->PrevWriter[S] = Prev;
     R.Pending |= uint8_t(1u << S);
     ++OpenN;
     return I;
@@ -341,9 +441,16 @@ public:
   void popFront() {
     assert(!empty() && "popFront of empty buffer");
     if (!Fences.empty() && Fences.front() == Base)
-      Fences.erase(Fences.begin());
+      Fences.eraseFront();
+    if (!Controls.empty() && Controls.front() == Base)
+      Controls.eraseFront();
     size_t G = size_t(Base - ChunkBase);
     ChunkRef &R = Chunks.front();
+    // The retiring entry is the oldest, so no live writer precedes it: if
+    // it is its register's youngest writer, the register has none left.
+    if (std::optional<Reg> W = R.Ptr->E[G].assignedReg())
+      if (Youngest[W->id()] == Base)
+        Youngest[W->id()] = 0;
     uint8_t Bit = uint8_t(1u << G);
     if (R.Pending & Bit) {
       R.Pending &= uint8_t(~Bit); // never hashed; nothing to subtract
@@ -387,7 +494,17 @@ public:
       return;
     BufIdx Cut = I < Base ? Base : I;
     while (!Fences.empty() && Fences.back() >= Cut)
-      Fences.pop_back();
+      Fences.resize(Fences.size() - 1);
+    while (!Controls.empty() && Controls.back() >= Cut)
+      Controls.resize(Controls.size() - 1);
+    // Each register's youngest writer retreats down its chain to the
+    // first survivor; a link that left the window means none survives.
+    for (BufIdx &Y : Youngest) {
+      while (Y >= Cut)
+        Y = prevWriter(Y);
+      if (Y < Base)
+        Y = 0;
+    }
     size_t G = size_t(Cut - ChunkBase);
     size_t K = G >> ChunkShift, Slot = G & ChunkMask;
     // Chunks wholly past the cut: subtract their folded words (pending
@@ -488,10 +605,12 @@ public:
   }
 
   /// Bytes a copy of this buffer actually moves eagerly: the chunk-ref
-  /// list and the fence list.  Shared chunk payloads are *not* counted —
-  /// that is the point.
+  /// list, the index lists, and the youngest-writer table.  Shared chunk
+  /// payloads are *not* counted — that is the point.
   size_t bytesPerCopy() const {
-    return Chunks.size() * sizeof(ChunkRef) + Fences.size() * sizeof(BufIdx);
+    return Chunks.size() * sizeof(ChunkRef) +
+           (Fences.size() + Controls.size() + Youngest.size()) *
+               sizeof(BufIdx);
   }
 
   /// Bytes the pre-chunking flat layout would have copied for the same
@@ -517,6 +636,9 @@ private:
   struct Chunk {
     std::array<TransientInstr, ChunkCap> E;
     mutable std::array<std::atomic<uint64_t>, ChunkCap> Memo{};
+    /// Per-slot previous-writer links (see the file comment), written
+    /// once at push.
+    std::array<BufIdx, ChunkCap> PrevWriter{};
     BufIdx First = 0;
   };
 
@@ -537,8 +659,16 @@ private:
     return hashFields({I, T.hash()});
   }
 
+  /// Previous-writer link of live index \p J.
+  BufIdx prevWriter(BufIdx J) const {
+    size_t G = size_t(J - ChunkBase);
+    return Chunks[G >> ChunkShift].Ptr->PrevWriter[G & ChunkMask];
+  }
+
   void copyFrom(const ReorderBuffer &O) {
     Fences = O.Fences;
+    Controls = O.Controls;
+    Youngest = O.Youngest;
     Chunks = O.Chunks;
     ChunkBase = O.ChunkBase;
     Base = O.Base;
@@ -558,6 +688,7 @@ private:
     std::shared_ptr<Chunk> Fresh = newChunk();
     for (size_t S = 0; S < Filled; ++S) {
       Fresh->E[S] = C.E[S];
+      Fresh->PrevWriter[S] = C.PrevWriter[S];
       Fresh->Memo[S].store(C.Memo[S].load(std::memory_order_relaxed),
                            std::memory_order_relaxed);
     }
@@ -567,7 +698,14 @@ private:
 
   /// Live fence indices, ascending (fences issue in order).  Almost
   /// always empty or one element.
-  std::vector<BufIdx> Fences;
+  InlineVector<BufIdx, 2> Fences;
+  /// Live unresolved Branch/JumpI indices, ascending.  The explorer caps
+  /// wrong-path nesting (ExplorerOptions::MaxBranchDepth, default 4), so
+  /// the inline capacity usually covers it.
+  InlineVector<BufIdx, 6> Controls;
+  /// Youngest live writer of each register, indexed by register id (0 =
+  /// none); grown on demand, so registers never written stay unlisted.
+  InlineVector<BufIdx, 32> Youngest;
   /// Chunks, oldest first; chunk K covers indices
   /// [ChunkBase + K*ChunkCap, ChunkBase + (K+1)*ChunkCap).  The last
   /// chunk is open: only its first OpenN slots are filled.  Inline

@@ -118,19 +118,6 @@ TransientInstr TransientInstr::makeFence(PC Origin) {
   return T;
 }
 
-bool TransientInstr::assignsReg(Reg R) const {
-  switch (Kind) {
-  case TransientKind::Op:
-  case TransientKind::ResolvedValue:
-  case TransientKind::Load:
-  case TransientKind::LoadGuessed:
-  case TransientKind::LoadResolved:
-    return Dest == R;
-  default:
-    return false;
-  }
-}
-
 namespace {
 
 /// The one chaining both hash() and the remap-aware hash() share, with

@@ -231,10 +231,29 @@ struct TransientInstr {
   // --- Queries -------------------------------------------------------------
   bool is(TransientKind K) const { return Kind == K; }
 
-  /// True iff this entry assigns register \p R when (fully or partially)
-  /// resolved — the "(r = _)" shapes of the register-resolve function
-  /// (Figure 3 and its §3.5 extension).
-  bool assignsReg(Reg R) const;
+  /// The register this entry assigns when (fully or partially) resolved —
+  /// the "(r = _)" shapes of the register-resolve function (Figure 3 and
+  /// its §3.5 extension) — or nullopt.  Fixed at fetch: every in-place
+  /// resolution keeps the kind's shape class and Dest, which the reorder
+  /// buffer's rename index relies on.
+  std::optional<Reg> assignedReg() const {
+    switch (Kind) {
+    case TransientKind::Op:
+    case TransientKind::ResolvedValue:
+    case TransientKind::Load:
+    case TransientKind::LoadGuessed:
+    case TransientKind::LoadResolved:
+      return Dest;
+    default:
+      return std::nullopt;
+    }
+  }
+
+  /// True iff this is unresolved control flow: a branch or indirect jump
+  /// whose execution may still roll the buffer back.
+  bool isUnresolvedControl() const {
+    return Kind == TransientKind::Branch || Kind == TransientKind::JumpI;
+  }
 
   /// True iff this is a store whose resolved address equals \p Addr — the
   /// "buf(j) = store(_, a)" premise of the load rules.

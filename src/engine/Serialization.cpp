@@ -43,6 +43,8 @@ void writeOperands(ByteWriter &W, const std::vector<Operand> &Ops) {
 std::optional<std::vector<Operand>> readOperands(ByteReader &R,
                                                  unsigned NumRegs) {
   uint64_t N = R.count(3); // 1 tag byte + u16 register id at minimum.
+  if (!R.ok())
+    return std::nullopt;
   std::vector<Operand> Ops;
   Ops.reserve(static_cast<size_t>(N));
   for (uint64_t I = 0; I < N; ++I) {
@@ -106,6 +108,10 @@ void writeInstruction(ByteWriter &W, const Instruction &I) {
   W.u32(I.next());
 }
 
+/// Reads one instruction.  The bytes are untrusted (a cache entry may be
+/// truncated or crafted), so every precondition the Instruction factories
+/// only assert — operand arity, non-empty address operands, a condition
+/// opcode on branches — is checked here first and fails the read.
 std::optional<Instruction> readInstruction(ByteReader &R, unsigned NumRegs) {
   uint8_t RawKind = R.u8();
   if (!R.ok() || RawKind > static_cast<uint8_t>(InstrKind::Fence))
@@ -116,7 +122,7 @@ std::optional<Instruction> readInstruction(ByteReader &R, unsigned NumRegs) {
     std::optional<Reg> Dest = readReg(R, NumRegs);
     std::optional<Opcode> Opc = readOpcode(R);
     std::optional<std::vector<Operand>> Args = readOperands(R, NumRegs);
-    if (!Dest || !Opc || !Args)
+    if (!Dest || !Opc || !Args || Args->size() != opcodeArity(*Opc))
       return std::nullopt;
     I = Instruction::makeOp(*Dest, *Opc, std::move(*Args));
     break;
@@ -125,7 +131,8 @@ std::optional<Instruction> readInstruction(ByteReader &R, unsigned NumRegs) {
     std::optional<Opcode> Opc = readOpcode(R);
     std::optional<std::vector<Operand>> Args = readOperands(R, NumRegs);
     PC NTrue = R.u32(), NFalse = R.u32();
-    if (!Opc || !Args || !R.ok())
+    if (!Opc || !Args || !R.ok() || !isCondition(*Opc) ||
+        Args->size() != opcodeArity(*Opc))
       return std::nullopt;
     I = Instruction::makeBranch(*Opc, std::move(*Args), NTrue, NFalse);
     break;
@@ -133,7 +140,7 @@ std::optional<Instruction> readInstruction(ByteReader &R, unsigned NumRegs) {
   case InstrKind::Load: {
     std::optional<Reg> Dest = readReg(R, NumRegs);
     std::optional<std::vector<Operand>> Args = readOperands(R, NumRegs);
-    if (!Dest || !Args)
+    if (!Dest || !Args || Args->empty())
       return std::nullopt;
     I = Instruction::makeLoad(*Dest, std::move(*Args));
     break;
@@ -141,21 +148,21 @@ std::optional<Instruction> readInstruction(ByteReader &R, unsigned NumRegs) {
   case InstrKind::Store: {
     std::optional<Operand> Val = readOperand(R, NumRegs);
     std::optional<std::vector<Operand>> Args = readOperands(R, NumRegs);
-    if (!Val || !Args)
+    if (!Val || !Args || Args->empty())
       return std::nullopt;
     I = Instruction::makeStore(*Val, std::move(*Args));
     break;
   }
   case InstrKind::JumpI: {
     std::optional<std::vector<Operand>> Args = readOperands(R, NumRegs);
-    if (!Args)
+    if (!Args || Args->empty())
       return std::nullopt;
     I = Instruction::makeJumpI(std::move(*Args));
     break;
   }
   case InstrKind::CallI: {
     std::optional<std::vector<Operand>> Args = readOperands(R, NumRegs);
-    if (!Args)
+    if (!Args || Args->empty())
       return std::nullopt;
     I = Instruction::makeCallI(std::move(*Args));
     break;

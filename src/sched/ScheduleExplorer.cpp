@@ -531,53 +531,11 @@ private:
       stopAll(/*Truncated=*/false);
   }
 
-  /// Number of unresolved branches / indirect jumps in flight (the
-  /// current nesting depth of speculation).
-  unsigned branchDepth(const Configuration &C) const {
-    if (C.Buf.empty())
-      return 0;
-    unsigned Depth = 0;
-    C.Buf.forEachIn(C.Buf.minIndex(), C.Buf.maxIndex() + 1,
-                    [&](BufIdx, const TransientInstr &T) {
-                      if (T.Kind == TransientKind::Branch ||
-                          T.Kind == TransientKind::JumpI)
-                        ++Depth;
-                    });
-    return Depth;
-  }
-
-  /// True iff buffer entry \p S sits in the shadow of unresolved control
-  /// flow (a rollback may squash it before retirement).
-  bool inSpeculativeShadow(const Configuration &C, BufIdx S) const {
-    // Existence check — scan direction is immaterial.
-    return C.Buf.scanReverse(C.Buf.minIndex(), S,
-                             [](BufIdx, const TransientInstr &T) {
-                               return T.Kind == TransientKind::Branch ||
-                                      T.Kind == TransientKind::JumpI;
-                             });
-  }
-
-  /// Probes whether guessing true for the branch at C.N is the correct
-  /// prediction.  Returns std::nullopt when the branch cannot be executed
-  /// yet (e.g. a fence is in flight) and correctness is unknowable.
-  std::optional<bool> probeBranchCorrect(const Configuration &C) {
-    Configuration T = C;
-    BufIdx I = T.Buf.nextIndex();
-    if (!M.step(T, Directive::fetchBool(true)))
-      return std::nullopt;
-    auto Out = M.step(T, Directive::execute(I));
-    if (!Out)
-      return std::nullopt;
-    return Out->Rule == RuleId::CondExecuteCorrect;
-  }
-
   /// Best-effort resolution of an indirect jump's target at fetch time.
   std::optional<PC> peekJumpTarget(const Configuration &C,
-                                   std::span<const Operand> Args) {
-    auto Vals = M.resolveOperands(C, C.Buf.nextIndex(), Args);
-    if (!Vals)
-      return std::nullopt;
-    return static_cast<PC>(evalAddr(*Vals, M.options()).Bits);
+                                   const Instruction &I) {
+    return actualTarget(M, C, C.Buf.nextIndex(),
+                        TransientInstr::makeJumpI(I.args(), 0, C.N));
   }
 
   /// Best-effort architectural return target for a ret with an empty RSB:
@@ -815,8 +773,7 @@ private:
           // and its hazard re-execution; fork only where a rollback would
           // squash the store first (unless exhaustive forks were asked
           // for).
-          if (!Opts.ExhaustiveForwardForks &&
-              !inSpeculativeShadow(Pth.C, S))
+          if (!Opts.ExhaustiveForwardForks && !Pth.C.Buf.hasControlBefore(S))
             continue;
           Path F = forkFrom();
           if (!tryStep(F, Directive::executeAddr(S)))
@@ -859,7 +816,7 @@ private:
     }
 
     case InstrKind::Branch: {
-      std::optional<bool> TrueCorrect = probeBranchCorrect(Pth.C);
+      std::optional<bool> TrueCorrect = probeBranchCorrect(M, Pth.C);
       if (!TrueCorrect) {
         // Condition not executable yet (fence in flight): fork both
         // guesses unresolved; forceOldest() executes them later.
@@ -875,7 +832,7 @@ private:
       // Mispredicted fork: fetch the wrong guess and delay its resolution
       // as long as possible (B.18).  Nesting is bounded: wrong-path loops
       // would otherwise unroll a fresh fork per iteration.
-      if (branchDepth(Pth.C) < Opts.MaxBranchDepth) {
+      if (Pth.C.Buf.controlDepth() < Opts.MaxBranchDepth) {
         Path F = forkFrom();
         mustStep(F, Directive::fetchBool(!Correct));
         Forks.push_back(std::move(F));
@@ -889,12 +846,12 @@ private:
     }
 
     case InstrKind::JumpI: {
-      std::optional<PC> Correct = peekJumpTarget(Pth.C, I.args());
+      std::optional<PC> Correct = peekJumpTarget(Pth.C, I);
       // Mistraining forks (Spectre v2), when requested.
       for (PC T : Opts.IndirectTargets) {
         if (Correct && T == *Correct)
           continue;
-        if (branchDepth(Pth.C) >= Opts.MaxBranchDepth)
+        if (Pth.C.Buf.controlDepth() >= Opts.MaxBranchDepth)
           break;
         Path F = forkFrom();
         mustStep(F, Directive::fetchTarget(T));
@@ -923,11 +880,11 @@ private:
       // Indirect call: mistraining forks like jmpi (Spectre v2 via
       // function pointers), then the correct-prediction path; the group's
       // return-address store follows the usual forwarding regime.
-      std::optional<PC> Correct = peekJumpTarget(Pth.C, I.args());
+      std::optional<PC> Correct = peekJumpTarget(Pth.C, I);
       for (PC T : Opts.IndirectTargets) {
         if (Correct && T == *Correct)
           continue;
-        if (branchDepth(Pth.C) >= Opts.MaxBranchDepth)
+        if (Pth.C.Buf.controlDepth() >= Opts.MaxBranchDepth)
           break;
         Path F = forkFrom();
         mustStep(F, Directive::fetchTarget(T));
@@ -965,7 +922,7 @@ private:
         // RSB underflow: fork over attacker targets (ret2spec), then
         // continue with the best-effort architectural target.
         for (PC T : Opts.RsbUnderflowTargets) {
-          if (branchDepth(Pth.C) >= Opts.MaxBranchDepth)
+          if (Pth.C.Buf.controlDepth() >= Opts.MaxBranchDepth)
             break;
           Path F = forkFrom();
           mustStep(F, Directive::fetchTarget(T));
@@ -1042,9 +999,7 @@ private:
     // a delayed *wrong* guess already observed at its fork's sibling (the
     // immediately-resolving fall-through) and must stay unresolved to
     // keep the B.18 worst-case window open — resolving it here would
-    // also perturb step counts on fence-free programs.  The correctness
-    // pre-check mirrors probeBranchCorrect without the configuration
-    // copy.
+    // also perturb step counts on fence-free programs.
     {
       bool SeenUnresolved = false;
       for (BufIdx K = C.Buf.minIndex(); K <= C.Buf.maxIndex(); ++K) {
@@ -1055,15 +1010,9 @@ private:
           SeenUnresolved = true;
           continue;
         }
-        if (!T.is(TransientKind::Branch) && !T.is(TransientKind::JumpI))
+        if (!T.isUnresolvedControl())
           continue;
-        auto Args = M.resolveOperands(C, K, T.Args);
-        if (!Args)
-          continue;
-        PC Actual = T.is(TransientKind::Branch)
-                        ? (truthy(evalOp(T.Opc, *Args, M.options())) ? T.NTrue
-                                                                     : T.NFalse)
-                        : static_cast<PC>(evalAddr(*Args, M.options()).Bits);
+        std::optional<PC> Actual = actualTarget(M, C, K, T);
         if (Actual == T.N0 && tryStep(Pth, Directive::execute(K)))
           return;
       }
@@ -1096,6 +1045,33 @@ PC sct::leakOriginOf(const Configuration &C, const Directive &D) {
   if (D.isRetire() && !C.Buf.empty())
     return C.Buf.at(C.Buf.minIndex()).Origin;
   return C.N;
+}
+
+std::optional<PC> sct::actualTarget(const Machine &M, const Configuration &C,
+                                    BufIdx At, const TransientInstr &T) {
+  auto Args = M.resolveOperands(C, At, T.Args);
+  if (!Args)
+    return std::nullopt;
+  if (T.is(TransientKind::Branch))
+    return truthy(evalOp(T.Opc, *Args, M.options())) ? T.NTrue : T.NFalse;
+  return static_cast<PC>(evalAddr(*Args, M.options()).Bits);
+}
+
+std::optional<bool> sct::probeBranchCorrect(const Machine &M,
+                                            const Configuration &C) {
+  // The execute rules' fence premise, evaluated where the fetched branch
+  // would land: every live fence precedes it.
+  BufIdx At = C.Buf.nextIndex();
+  if (C.Buf.hasFenceBefore(At))
+    return std::nullopt;
+  const Instruction &I = M.program().at(C.N);
+  std::optional<PC> Actual = actualTarget(
+      M, C, At,
+      TransientInstr::makeBranch(I.opcode(), I.args(), I.trueTarget(),
+                                 I.trueTarget(), I.falseTarget(), C.N));
+  if (!Actual)
+    return std::nullopt;
+  return *Actual == I.trueTarget();
 }
 
 ExploreResult sct::explore(const Machine &M, Configuration Init,

@@ -199,6 +199,22 @@ struct ExploreStats {
 /// agree.
 PC leakOriginOf(const Configuration &C, const Directive &D);
 
+/// The target unresolved control flow \p T (a Branch or JumpI entry, live
+/// at buffer index \p At or about to be fetched there) takes when it
+/// executes: a branch's static target by its condition, an indirect
+/// jump's evaluated address.  The execute rules' computation without the
+/// step; std::nullopt while an operand is unresolved.
+std::optional<PC> actualTarget(const Machine &M, const Configuration &C,
+                               BufIdx At, const TransientInstr &T);
+
+/// Whether guessing true for the conditional branch at `C.N` is the
+/// correct prediction, decided on \p C itself: no copy, no step.
+/// std::nullopt when the branch could not execute right after its fetch
+/// (a fence in flight, or an unresolved condition operand), so
+/// correctness is unknowable yet.
+std::optional<bool> probeBranchCorrect(const Machine &M,
+                                       const Configuration &C);
+
 /// One secret-labelled observation with its replayable witness schedule.
 struct LeakRecord {
   Schedule Sched;    ///< Directives up to and including the leaking step.

@@ -127,17 +127,18 @@ public:
     unspillIfNeeded(Old);
   }
 
-  /// Removes the first element, shifting the rest down (O(size)).
-  void eraseFront() {
-    assert(Size && "eraseFront of empty vector");
+  /// Removes the element at \p Pos, shifting the rest down (O(size)).
+  void erase(size_t Pos) {
+    assert(Pos < Size && "erase out of range");
     T *D = data();
-    for (size_t I = 1; I < Size; ++I)
+    for (size_t I = Pos + 1; I < Size; ++I)
       D[I - 1] = std::move(D[I]);
     D[Size - 1].~T();
     size_t Old = Size;
     --Size;
     unspillIfNeeded(Old);
   }
+  void eraseFront() { erase(0); }
 
   void clear() {
     if (Size <= N) {

@@ -135,6 +135,80 @@ TEST(Serialization, TruncatedProgramNeverMisparses) {
     ByteReader R(std::span<const uint8_t>(Bytes.data(), Len));
     EXPECT_FALSE(readProgram(R).has_value()) << "len " << Len;
   }
+
+  // Crafted entries: complete, well-framed images whose one instruction
+  // breaks a precondition the Instruction factories only assert.  Each
+  // must fail the read, never build a malformed instruction.
+  auto Image = [](auto &&WriteInstr) {
+    ByteWriter W;
+    W.u32(3); // rsp, rtmp, ra
+    for (const char *Name : {"rsp", "rtmp", "ra"})
+      W.str(Name);
+    W.u64(1);
+    WriteInstr(W);
+    W.u32(1); // next
+    for (int Table = 0; Table < 4; ++Table)
+      W.u64(0); // regions, register inits, memory inits, labels
+    W.u32(0); // entry
+    return W.take();
+  };
+  auto Kind = [](ByteWriter &W, InstrKind K) {
+    W.u8(static_cast<uint8_t>(K));
+  };
+  auto Imm = [](ByteWriter &W, uint64_t V) {
+    W.b(false);
+    W.u64(V);
+  };
+  auto Parses = [](const std::vector<uint8_t> &B) {
+    ByteReader R(B);
+    return readProgram(R).has_value();
+  };
+  // The framing is right: the well-formed twin of the first case parses.
+  ASSERT_TRUE(Parses(Image([&](ByteWriter &W) {
+    Kind(W, InstrKind::Load);
+    W.u16(2);
+    W.u64(1);
+    Imm(W, 0x40);
+  })));
+  EXPECT_FALSE(Parses(Image([&](ByteWriter &W) { // load, no address
+    Kind(W, InstrKind::Load);
+    W.u16(2);
+    W.u64(0);
+  })));
+  EXPECT_FALSE(Parses(Image([&](ByteWriter &W) { // store, no address
+    Kind(W, InstrKind::Store);
+    Imm(W, 1);
+    W.u64(0);
+  })));
+  for (InstrKind K : {InstrKind::JumpI, InstrKind::CallI})
+    EXPECT_FALSE(Parses(Image([&](ByteWriter &W) { // no target operands
+      Kind(W, K);
+      W.u64(0);
+    })));
+  EXPECT_FALSE(Parses(Image([&](ByteWriter &W) { // binary op, one operand
+    Kind(W, InstrKind::Op);
+    W.u16(2);
+    W.u8(static_cast<uint8_t>(Opcode::Add));
+    W.u64(1);
+    Imm(W, 1);
+  })));
+  EXPECT_FALSE(Parses(Image([&](ByteWriter &W) { // branch on an add
+    Kind(W, InstrKind::Branch);
+    W.u8(static_cast<uint8_t>(Opcode::Add));
+    W.u64(2);
+    Imm(W, 1);
+    Imm(W, 2);
+    W.u32(1);
+    W.u32(1);
+  })));
+  EXPECT_FALSE(Parses(Image([&](ByteWriter &W) { // eq, one operand
+    Kind(W, InstrKind::Branch);
+    W.u8(static_cast<uint8_t>(Opcode::Eq));
+    W.u64(1);
+    Imm(W, 1);
+    W.u32(1);
+    W.u32(1);
+  })));
 }
 
 //===------------------------------------------------------- options trips ---===//
