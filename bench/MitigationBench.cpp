@@ -3,15 +3,16 @@
 // The §3.6 / Appendix A.2 countermeasures run through the mitigation
 // engine (engine/MitigationSession.h) over the leaky suite programs:
 // which mitigation closes which leaks, at what placement cost
-// (instructions added, sequential-schedule growth), how much of the
-// re-check the baseline's seen-state table paid for, and how far the
-// minimal-fence-placement search shrinks the blanket policy.
+// (instructions added, sequential-schedule growth), and how far the
+// minimal-fence-placement search shrinks the blanket policy.  Every
+// re-check runs the SPS proof first and explores only on Inconclusive
+// (the v4-mode groups).  The output has no wall-clock fields, so
+// tests/golden/MitigationBench.txt pins it byte for byte.
 //
-//   MitigationBench [--threads N] [--quick] [--no-reuse]
+//   MitigationBench [--threads N] [--quick]
 //
-// --quick restricts to the Kocher suite + the v2 figure (the CI smoke);
-// --no-reuse disables seen-state reuse (the from-scratch re-check
-// baseline — verdicts must not move, only step counts).
+// --quick restricts to the first 8 Kocher cases + the v2 figure (the CI
+// smoke).
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,9 +47,7 @@ void reportGroup(const MitigationSession &MS, const char *Title,
   std::vector<std::vector<std::string>> Table;
   unsigned Done = 0;
   for (const SuiteCase &C : Cases) {
-    // kocher-05's *fenced* tree runs to the 8M-step budget (~1 min per
-    // re-check); the smoke run skips it and caps the corpus.
-    if (Quick && (C.Id == "kocher-05" || Done >= 8))
+    if (Quick && Done >= 8)
       continue;
     ++Done;
     MitigationReport Rep = MS.run(C.Prog, Mode, FenceInsertion(Policy));
@@ -62,7 +61,7 @@ void reportGroup(const MitigationSession &MS, const char *Title,
         C.Prog, Mode, FOpts, MachineOptions{}, &Rep.Baseline);
     const MitigationVariant &V = Rep.Variants.front();
     if (!V.applied()) {
-      Table.push_back({C.Id, "not relocatable", "-", "-", "-", "-", "-"});
+      Table.push_back({C.Id, "not relocatable", "-", "-", "-", "-"});
       continue;
     }
     ++Tally.LeakyCases;
@@ -87,11 +86,11 @@ void reportGroup(const MitigationSession &MS, const char *Title,
       std::snprintf(Minimal, sizeof(Minimal), "blanket insufficient");
     Table.push_back({C.Id, V.restoredSct() ? "secure" : "still LEAKS",
                      Closed, std::to_string(V.Cost.FencesAdded), OverheadBuf,
-                     std::to_string(V.ReusePrunedNodes), Minimal});
+                     Minimal});
   }
   std::printf("%s\n",
               renderTable({"case", "after fencing", "closed", "fences",
-                           "overhead", "reuse-pruned", "minimal fences"},
+                           "overhead", "minimal fences"},
                           Table)
                   .c_str());
 }
@@ -105,19 +104,13 @@ int main(int Argc, char **Argv) {
                   sct::sessionFlagsHelp().c_str());
       return 0;
     }
-  bool Quick = false, NoReuse = false;
-  for (int I = 1; I < Argc; ++I) {
+  bool Quick = false;
+  for (int I = 1; I < Argc; ++I)
     if (!std::strcmp(Argv[I], "--quick"))
       Quick = true;
-    else if (!std::strcmp(Argv[I], "--no-reuse"))
-      NoReuse = true;
-  }
-  SessionOptions SOpts = sessionOptionsFromArgs(Argc, Argv);
-  MitigationOptions MOpts;
-  MOpts.ReuseSeenStates = !NoReuse;
-  MitigationSession MS(SOpts, MOpts);
-  std::printf("engine: %u worker thread(s); seen-state reuse %s\n\n",
-              MS.session().options().Threads, NoReuse ? "OFF" : "on");
+  MitigationSession MS(sessionOptionsFromArgs(Argc, Argv));
+  std::printf("engine: %u worker thread(s)\n\n",
+              MS.session().options().Threads);
 
   PlacementTally Tally;
   reportGroup(MS,

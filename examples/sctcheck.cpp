@@ -27,10 +27,11 @@
 // --mitigate runs the mitigation engine (engine/MitigationSession.h)
 // instead of a plain check: the program is checked, transformed
 // (fence = blanket fences, retpoline, minimal-fence = the placement
-// search), and re-checked with the baseline's seen-state table reused
-// through the transform's provenance; the report lists per-leak closure,
-// placement cost, and what reuse pruned.  Jump-table programs yield the
-// transform's structured not-relocatable error instead of a miscompile.
+// search), and re-checked — the SPS proof first, a plain exploration
+// when the proof is inconclusive; the report lists per-leak closure,
+// placement cost, and how the re-check was settled.  Jump-table programs
+// yield the transform's structured not-relocatable error instead of a
+// miscompile.
 //
 //===----------------------------------------------------------------------===//
 
@@ -71,8 +72,8 @@ void usage(const char *Prog) {
       "  --fence-stores         insert fences after stores first\n"
       "  --mitigate KIND        run the mitigation engine: check, apply\n"
       "                         KIND (fence|retpoline|minimal-fence),\n"
-      "                         re-check reusing the baseline's seen\n"
-      "                         states, report per-leak closure + cost\n"
+      "                         re-check (SPS proof first), report\n"
+      "                         per-leak closure + cost\n"
       "  --first                stop at the first violation\n"
       "  --stats                collect and print exploration diagnostics:\n"
       "                         fork-copy accounting (configurations\n"
@@ -268,11 +269,12 @@ int main(int Argc, char **Argv) {
                 V.Cost.Sites);
     std::printf("sequential schedule: %zu -> %zu steps\n",
                 Rep.SeqStepsBaseline, V.SeqSteps);
-    std::printf("re-check: %s; closed %zu/%zu leak(s); seen-state reuse "
-                "pruned %llu subtree(s)\n",
+    const char *SettledBy = "explored";
+    if (V.After.Sps && V.After.Sps->conclusive())
+      SettledBy = V.After.Sps->proved() ? "SPS proof" : "SPS counterexample";
+    std::printf("re-check: %s; closed %zu/%zu leak(s); settled by %s\n",
                 V.restoredSct() ? "secure" : "still LEAKS", V.closedCount(),
-                V.Leaks.size(),
-                static_cast<unsigned long long>(V.ReusePrunedNodes));
+                V.Leaks.size(), SettledBy);
     for (const LeakClosure &L : V.Leaks)
       std::printf("  leak at pc %u: %s%s\n", L.Origin,
                   L.Closed ? "closed" : "OPEN",

@@ -47,10 +47,8 @@ ProvenanceMap sct::ProvenanceMap::identityFor(const Program &P) {
     Map.InstrOldToNew.push_back(N);
     Map.InstrNewToOld.push_back(N);
   }
-  for (PC N = 0; N <= P.endPC(); ++N) {
+  for (PC N = 0; N <= P.endPC(); ++N)
     Map.TargetOldToNew.push_back(N);
-    Map.TargetNewToOld.push_back(N);
-  }
   return Map;
 }
 
@@ -72,13 +70,8 @@ ProvenanceMap ProgramRewriter::provenance() const {
     if (SlotOldPC[New] != ProvenanceMap::None)
       Map.InstrOldToNew[SlotOldPC[New]] = New;
   Map.TargetOldToNew.assign(Orig.endPC() + 1, ProvenanceMap::None);
-  Map.TargetNewToOld.assign(SlotOldPC.size() + 1, ProvenanceMap::None);
-  for (PC Old = 0; Old <= Orig.endPC(); ++Old) {
-    PC New = Remap.at(Old);
-    Map.TargetOldToNew[Old] = New;
-    if (New < Map.TargetNewToOld.size())
-      Map.TargetNewToOld[New] = Old;
-  }
+  for (PC Old = 0; Old <= Orig.endPC(); ++Old)
+    Map.TargetOldToNew[Old] = Remap.at(Old);
   return Map;
 }
 

@@ -41,14 +41,12 @@ namespace sct {
 ///    system.
 ///  - The *target* maps track control flow: `newTargetOf(n)` is where a
 ///    jump to old point `n` lands in the new program — the first
-///    instruction inserted before `n`, when there is one — and
-///    `oldTargetOf(m)` inverts it.  Fetch points, branch targets, and RSB
-///    entries live here.
+///    instruction inserted before `n`, when there is one.  Branch targets,
+///    attacker-chosen indirect targets and RSB entries live here.
 ///
-/// The engine's seen-state reuse hashes a mitigated program's
-/// configurations back into baseline coordinates through these maps
-/// (sched/SeenStates.h); the mitigation reports use them to relate leak
-/// origins across the transform.
+/// The mitigation engine (engine/MitigationSession.h) uses these maps to
+/// relate leak origins across the transform, to relocate attacker-chosen
+/// targets, and to replay baseline witnesses on the mitigated program.
 struct ProvenanceMap {
   /// Sentinel for "no image".
   static constexpr PC None = 0xFFFFFFFF;
@@ -60,9 +58,6 @@ struct ProvenanceMap {
   /// Old control-flow point -> new landing point (size oldEndPC + 1; the
   /// end point maps too).
   std::vector<PC> TargetOldToNew;
-  /// New control-flow point -> the old point it is the image of (None if
-  /// nothing targeted it).
-  std::vector<PC> TargetNewToOld;
 
   std::optional<PC> newOf(PC Old) const {
     if (Old >= InstrOldToNew.size() || InstrOldToNew[Old] == None)
@@ -78,11 +73,6 @@ struct ProvenanceMap {
     if (Old >= TargetOldToNew.size())
       return std::nullopt;
     return TargetOldToNew[Old];
-  }
-  std::optional<PC> oldTargetOf(PC New) const {
-    if (New >= TargetNewToOld.size() || TargetNewToOld[New] == None)
-      return std::nullopt;
-    return TargetNewToOld[New];
   }
 
   /// True iff the rewrite moved nothing: every instruction kept its index

@@ -502,7 +502,6 @@ SpsTranslation Emitter::run() {
   Out.Map.InstrNewToOld.assign(PhatEnd, ProvenanceMap::None);
   Out.Map.InstrOldToNew.assign(End, ProvenanceMap::None);
   Out.Map.TargetOldToNew.assign(End + 1, ProvenanceMap::None);
-  Out.Map.TargetNewToOld.assign(PhatEnd, ProvenanceMap::None);
   for (size_t I = 0; I < Spans.size(); ++I) {
     PC From = Starts[I];
     PC To = I + 1 < Spans.size() ? Starts[I + 1] : PhatEnd;
@@ -515,7 +514,6 @@ SpsTranslation Emitter::run() {
     if (Pc < End)
       Out.Map.InstrOldToNew[Pc] = SeqImage[Pc];
     Out.Map.TargetOldToNew[Pc] = SeqImage[Pc];
-    Out.Map.TargetNewToOld[SeqImage[Pc]] = Pc;
   }
   return Out;
 }

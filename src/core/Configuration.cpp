@@ -36,27 +36,6 @@ uint64_t Configuration::hashFromScratch() const {
   return H;
 }
 
-std::optional<uint64_t> Configuration::hash(const PcRemap &R) const {
-  // N is where this configuration already *is*, not a point it still has
-  // to reach — the fetch-point channel may be more permissive than the
-  // target channel (core/TransientInstr.h).
-  std::optional<PC> MN = R.fetchPoint(N);
-  if (!MN)
-    return std::nullopt;
-  std::optional<uint64_t> BufH = Buf.hash(R);
-  if (!BufH)
-    return std::nullopt;
-  std::optional<uint64_t> RsbH = Rsb.hash(R);
-  if (!RsbH)
-    return std::nullopt;
-  uint64_t H = hashCombine(HashSeed, Regs.hash());
-  H = hashCombine(H, Mem.hash());
-  H = hashCombine(H, *MN);
-  H = hashCombine(H, *BufH);
-  H = hashCombine(H, *RsbH);
-  return H;
-}
-
 Configuration Configuration::initial(const Program &P) {
   Configuration C;
   C.Regs = RegisterFile(P.numRegs());

@@ -87,19 +87,6 @@ struct Configuration {
   /// journal entry — the verification oracle for the incremental
   /// fingerprints (tests/HashEquivalenceTest.cpp).
   uint64_t hashFromScratch() const;
-
-  /// Remap-aware fingerprint: every program point — the fetch point, the
-  /// reorder buffer's origins/targets, the RSB's pushed return points —
-  /// maps through \p R before folding, with the chaining otherwise
-  /// identical to hash().  A configuration of a *relocated* program
-  /// thereby hashes commensurably with the original program's states:
-  /// when R inverts the relocation's provenance, this equals the plain
-  /// hash() of the corresponding original-program configuration.  nullopt
-  /// iff some point has no image (e.g. an inserted fence is in flight).
-  /// Register and memory *values* are folded raw — values that encode
-  /// code pointers (jump tables, spilled return addresses) simply never
-  /// match, which errs toward fewer matches, never wrong ones.
-  std::optional<uint64_t> hash(const PcRemap &R) const;
 };
 
 } // namespace sct

@@ -14,18 +14,6 @@ uint64_t ReorderBuffer::hashFromScratch() const {
   return hashFields({Base, size(), Xor});
 }
 
-std::optional<uint64_t> ReorderBuffer::hash(const PcRemap &R) const {
-  uint64_t Xor = 0;
-  if (!empty())
-    for (BufIdx I = minIndex(); I <= maxIndex(); ++I) {
-      std::optional<uint64_t> TH = at(I).hash(R);
-      if (!TH)
-        return std::nullopt;
-      Xor ^= hashFields({I, *TH});
-    }
-  return hashFields({Base, size(), Xor});
-}
-
 std::string dumpReorderBuffer(const ReorderBuffer &Buf, const Program &P) {
   std::string Out;
   if (Buf.empty())

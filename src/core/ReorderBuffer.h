@@ -130,8 +130,6 @@
 
 namespace sct {
 
-struct PcRemap;
-
 namespace detail {
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -588,13 +586,6 @@ public:
   /// ignoring all incremental state.  Must equal hash() always.
   uint64_t hashFromScratch() const;
 
-  /// Remap-aware fingerprint for canonicalized comparison (invariant 4's
-  /// second overload, see TransientInstr::hash(const PcRemap &)): hashes
-  /// entries with program counters translated through \p R.  Shares the
-  /// per-entry walk with hashFromScratch by construction; nullopt iff any
-  /// entry's remap misses.
-  std::optional<uint64_t> hash(const PcRemap &R) const;
-
   /// True iff any chunk is shared with another buffer copy (fork-side
   /// observability hook for tests).
   bool sharesChunks() const {
@@ -653,8 +644,7 @@ private:
     uint8_t Pending = 0;
   };
 
-  /// The per-(index, entry) fingerprint contribution.  Must stay in sync
-  /// with the remap-aware variant in ReorderBuffer.cpp.
+  /// The per-(index, entry) fingerprint contribution.
   static uint64_t contribution(BufIdx I, const TransientInstr &T) {
     return hashFields({I, T.hash()});
   }

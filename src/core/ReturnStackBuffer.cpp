@@ -18,22 +18,6 @@ uint64_t ReturnStackBuffer::hashFromScratch() const {
   return hashFields({J.size(), Xor});
 }
 
-std::optional<uint64_t> ReturnStackBuffer::hash(const PcRemap &R) const {
-  const std::vector<Entry> &J = journal();
-  uint64_t Xor = 0;
-  for (size_t Pos = 0; Pos < J.size(); ++Pos) {
-    Entry E = J[Pos]; // Pops record no target (raw 0, like hash()).
-    if (E.IsPush) {
-      std::optional<PC> M = R.target(E.Target);
-      if (!M)
-        return std::nullopt;
-      E.Target = *M;
-    }
-    Xor ^= contribution(Pos, E);
-  }
-  return hashFields({J.size(), Xor});
-}
-
 std::optional<PC> ReturnStackBuffer::top() const {
   // Replay the journal into a stack (the paper's JσK), then take the top.
   std::vector<PC> Stack;

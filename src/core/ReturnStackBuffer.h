@@ -95,12 +95,6 @@ public:
   /// Recomputes hash() by walking the journal.
   uint64_t hashFromScratch() const;
 
-  /// Remap-aware variant: push targets (return points) map through
-  /// \p R's target channel; nullopt iff any has no image.  Always a full
-  /// walk (remaps are the cross-program re-check path, not the hot path);
-  /// under an identity remap it equals hash() — tests pin this.
-  std::optional<uint64_t> hash(const PcRemap &R) const;
-
 private:
   struct Entry {
     BufIdx Idx;

@@ -118,86 +118,41 @@ TransientInstr TransientInstr::makeFence(PC Origin) {
   return T;
 }
 
-namespace {
-
-/// The one chaining both hash() and the remap-aware hash() share, with
-/// the program points passed in (mapped or raw).  Every field
-/// operator== compares participates, in declaration order; operands
-/// fold a register/immediate tag first so reg(5) and imm(5) separate.
-/// This is the engine's single hottest function (entry fingerprints
-/// back the reorder buffer's XOR-multiset), so it uses the cheap
-/// hashFold/hashFinish chain: sound here because every TransientInstr
-/// folds exactly the same field sequence (Args is length-prefixed).
-uint64_t hashEntryFields(const TransientInstr &T, PC N0, PC NTrue, PC NFalse,
-                         PC Origin) {
-  uint64_t H = hashFold(HashSeed, uint64_t(T.Kind));
-  H = hashFold(H, T.Dest.id());
-  H = hashFold(H, uint64_t(T.Opc));
+/// Every field operator== compares participates, in declaration order;
+/// operands fold a register/immediate tag first so reg(5) and imm(5)
+/// separate.  This is the engine's single hottest function (entry
+/// fingerprints back the reorder buffer's XOR-multiset), so it uses the
+/// cheap hashFold/hashFinish chain: sound here because every
+/// TransientInstr folds exactly the same field sequence (Args is
+/// length-prefixed).
+uint64_t TransientInstr::hash() const {
+  uint64_t H = hashFold(HashSeed, uint64_t(Kind));
+  H = hashFold(H, Dest.id());
+  H = hashFold(H, uint64_t(Opc));
   auto FoldOperand = [&H](const Operand &Op) {
     H = hashFold(H, Op.isReg() ? 1 : 2);
     H = hashFold(H, Op.isReg() ? Op.getReg().id() : Op.getImm());
   };
-  H = hashFold(H, T.Args.size());
-  for (const Operand &Op : T.Args)
+  H = hashFold(H, Args.size());
+  for (const Operand &Op : Args)
     FoldOperand(Op);
-  H = hashFold(H, T.Val.Bits);
-  H = hashFold(H, T.Val.Taint.mask());
-  FoldOperand(T.StoreVal);
-  H = hashFold(H, T.StoreValIsResolved);
-  H = hashFold(H, T.StoreResolvedVal.Bits);
-  H = hashFold(H, T.StoreResolvedVal.Taint.mask());
-  H = hashFold(H, T.StoreAddrIsResolved);
-  H = hashFold(H, T.StoreAddr.Bits);
-  H = hashFold(H, T.StoreAddr.Taint.mask());
-  H = hashFold(H, T.LoadAddr);
+  H = hashFold(H, Val.Bits);
+  H = hashFold(H, Val.Taint.mask());
+  FoldOperand(StoreVal);
+  H = hashFold(H, StoreValIsResolved);
+  H = hashFold(H, StoreResolvedVal.Bits);
+  H = hashFold(H, StoreResolvedVal.Taint.mask());
+  H = hashFold(H, StoreAddrIsResolved);
+  H = hashFold(H, StoreAddr.Bits);
+  H = hashFold(H, StoreAddr.Taint.mask());
+  H = hashFold(H, LoadAddr);
   // OptBufIdx's raw word is already the index-plus-one sentinel this
   // line has always folded.
-  H = hashFold(H, T.Dep.raw());
+  H = hashFold(H, Dep.raw());
   H = hashFold(H, (uint64_t(N0) << 32) | NTrue);
   H = hashFold(H, (uint64_t(NFalse) << 32) | Origin);
-  H = hashFold(H, T.GroupLeader);
+  H = hashFold(H, GroupLeader);
   return hashFinish(H);
-}
-
-} // namespace
-
-uint64_t TransientInstr::hash() const {
-  return hashEntryFields(*this, N0, NTrue, NFalse, Origin);
-}
-
-std::optional<uint64_t> TransientInstr::hash(const PcRemap &R) const {
-  // Only the target fields the entry's kind actually uses are remapped —
-  // the factories leave the others at 0, and the plain hash of the
-  // corresponding original-program entry folds those raw zeros.
-  PC MN0 = N0, MNTrue = NTrue, MNFalse = NFalse;
-  auto MapTarget = [&R](PC N, PC &Out) {
-    std::optional<PC> M = R.target(N);
-    if (!M)
-      return false;
-    Out = *M;
-    return true;
-  };
-  switch (Kind) {
-  case TransientKind::Branch:
-    if (!MapTarget(N0, MN0) || !MapTarget(NTrue, MNTrue) ||
-        !MapTarget(NFalse, MNFalse))
-      return std::nullopt;
-    break;
-  case TransientKind::Jump:
-  case TransientKind::JumpI:
-    if (!MapTarget(N0, MN0))
-      return std::nullopt;
-    break;
-  default:
-    break;
-  }
-  std::optional<PC> MOrigin = R.instr(Origin);
-  if (!MOrigin)
-    return std::nullopt;
-
-  // Byte-for-byte the chaining of hash(), with the mapped points
-  // substituted.
-  return hashEntryFields(*this, MN0, MNTrue, MNFalse, *MOrigin);
 }
 
 bool TransientInstr::isResolved() const {

@@ -72,33 +72,6 @@ private:
   uint64_t Raw = 0;
 };
 
-/// Maps program points of one program into another's coordinate space —
-/// the hook behind the remap-aware fingerprints
-/// (`Configuration::hash(const PcRemap &)`).  A relocated program's
-/// configurations can hash commensurably with the original's by mapping
-/// every program point back through the relocation's provenance; a
-/// nullopt marks a point with no image (an inserted instruction, or one
-/// the consumer refuses to equate — see sched/SeenStates.h for the
-/// explorer's reuse adapter).
-class PcRemap {
-public:
-  virtual ~PcRemap() = default;
-  /// Image of a *control-flow* coordinate: a branch/jump target or RSB
-  /// entry — a point the machine will still travel *to*, so the image
-  /// must account for anything inserted on the way in.
-  virtual std::optional<PC> target(PC N) const = 0;
-  /// Image of an *instruction-identity* coordinate: a transient
-  /// instruction's origin.
-  virtual std::optional<PC> instr(PC N) const = 0;
-  /// Image of a configuration's *fetch point*: the machine already sits
-  /// at \p N, so whatever was inserted before it has been consumed and
-  /// only what lies ahead matters.  Defaults to the target channel;
-  /// consumers that distinguish "arriving at" from "being at" (the
-  /// mitigation re-check's influence veto) override this with a mapping
-  /// that only refuses points with insertions still reachable ahead.
-  virtual std::optional<PC> fetchPoint(PC N) const { return target(N); }
-};
-
 /// Kinds of transient instructions.
 enum class TransientKind : unsigned char {
   Op,            ///< (r = op(op, rv⃗)) — unresolved op
@@ -277,15 +250,6 @@ struct TransientInstr {
   /// included — a store with a resolved address must never hash like its
   /// unresolved twin.
   uint64_t hash() const;
-
-  /// Remap-aware fingerprint: identical chaining to hash(), but with the
-  /// entry's program points pushed through \p R first — Origin through
-  /// the instruction map, the kind-dependent target fields (a branch's
-  /// chosen/static targets, a jump's target, a jmpi's prediction) through
-  /// the target map.  nullopt iff some point has no image.  Keep this in
-  /// lockstep with hash(): `hash(Identity) == hash()` must hold for every
-  /// entry (tests/SeenStateTest.cpp pins it).
-  std::optional<uint64_t> hash(const PcRemap &R) const;
 
   /// Renders the paper's notation, e.g. "(rb = load([0x40, ra]))".
   std::string str(const Program &P) const;

@@ -1,11 +1,10 @@
 //===- engine/MitigationSession.cpp - Mitigation validation engine ----------===//
 //
-// Baseline check -> transform -> diff-driven re-check.  The two reuse
-// mechanisms (seen-state reuse through the provenance remap, witness
-// replay) are accelerators and evidence respectively — the re-check's
-// verdict never depends on them: reuse prunes only states certified
-// leak-free by a complete baseline exploration, and replay only ever
-// *adds* proof that a leak is open.
+// Baseline check -> transform -> re-check.  Every re-check runs the SPS
+// proof first and explores only when the proof is inconclusive; the
+// witness-replay pre-pass is evidence beside it — the re-check's verdict
+// never depends on replay, which only ever *adds* proof that a leak is
+// open.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,262 +26,23 @@ size_t sct::sequentialScheduleLength(const Program &P,
 
 namespace {
 
-/// Old program points from which an *inserted* (or replacing) instruction
-/// is reachable in the transformed layout: fetch from any of them in the
-/// mitigated program and the subtree can diverge from the baseline's.
-/// Conservative over control flow — indirect jumps/calls (and `ret` under
-/// the attacker-choice RSB policy) are treated as reaching everything.
-/// Size endPC()+1 (the end point participates: an epilogue insertion
-/// influences it).
-std::vector<char> influencedOldPoints(const Program &P,
-                                      const ProvenanceMap &Map,
-                                      const Program &NewProg,
-                                      const MachineOptions &MachOpts) {
-  const PC End = P.endPC();
-  std::vector<char> Influenced(End + 1, 0);
-
-  // Seeds: points whose control-flow image differs from their
-  // instruction image (something was inserted before them, or the
-  // instruction was replaced away).
-  bool AnySite = false;
-  for (PC Old = 0; Old < End; ++Old) {
-    std::optional<PC> T = Map.newTargetOf(Old);
-    std::optional<PC> I = Map.newOf(Old);
-    if (!T || !I || *T != *I) {
-      Influenced[Old] = 1;
-      AnySite = true;
-    }
-  }
-  if (Map.newTargetOf(End).value_or(NewProg.endPC()) != NewProg.endPC()) {
-    Influenced[End] = 1; // Epilogue insertion at the old end point.
-    AnySite = true;
-  }
-  if (!AnySite)
-    return Influenced; // Identity layout: nothing to reach.
-
-  // Return points a `ret` can land on without attacker choice: every
-  // call's fall-through (that is what calls push), plus program point 0
-  // for the circular RSB (underflow wraps onto an empty slot).
-  std::vector<PC> RetSuccs;
-  bool RetUnknown = MachOpts.RsbOnEmpty == RsbPolicy::AttackerChoice;
-  for (PC N = 0; N < End; ++N)
-    if (P.at(N).is(InstrKind::Call) || P.at(N).is(InstrKind::CallI))
-      RetSuccs.push_back(P.at(N).next());
-  if (MachOpts.RsbOnEmpty == RsbPolicy::Circular)
-    RetSuccs.push_back(0);
-
-  // Backward fixpoint: a point is influenced if any successor is.
-  bool Changed = true;
-  auto Mark = [&](PC N, bool &Out) {
-    if (N <= End && Influenced[N])
-      Out = true;
-  };
-  while (Changed) {
-    Changed = false;
-    for (PC N = 0; N < End; ++N) {
-      if (Influenced[N])
-        continue;
-      const Instruction &I = P.at(N);
-      bool Inf = false;
-      switch (I.kind()) {
-      case InstrKind::Op:
-      case InstrKind::Load:
-      case InstrKind::Store:
-      case InstrKind::Fence:
-        Mark(I.next(), Inf);
-        break;
-      case InstrKind::Branch:
-        Mark(I.trueTarget(), Inf);
-        Mark(I.falseTarget(), Inf);
-        break;
-      case InstrKind::Call:
-        Mark(I.callee(), Inf);
-        Mark(I.next(), Inf);
-        break;
-      case InstrKind::JumpI:
-      case InstrKind::CallI:
-        Inf = true; // Data-driven target: reaches anything.
-        break;
-      case InstrKind::Ret:
-        if (RetUnknown)
-          Inf = true;
-        else
-          for (PC S : RetSuccs)
-            Mark(S, Inf);
-        break;
-      }
-      if (Inf) {
-        Influenced[N] = 1;
-        Changed = true;
-      }
-    }
-  }
-  return Influenced;
-}
-
-/// The strictly-ahead half of the influence veto: true for old point \p n
-/// iff an insertion is reachable from n *without counting whatever sits
-/// on the way into n itself* — i.e. some successor of n is influenced.
-/// This is what a configuration's fetch point must be vetoed by: the
-/// machine already consumed anything inserted before n (a blanket fence,
-/// say), so only insertions still ahead can make the subtree diverge.
-/// Same conservative control-flow treatment as influencedOldPoints; the
-/// end point has no successors and is never ahead-influenced.
-std::vector<char> influencedAheadPoints(const Program &P,
-                                        const std::vector<char> &Influenced,
-                                        const MachineOptions &MachOpts) {
-  const PC End = P.endPC();
-  std::vector<char> Ahead(End + 1, 0);
-  std::vector<PC> RetSuccs;
-  bool RetUnknown = MachOpts.RsbOnEmpty == RsbPolicy::AttackerChoice;
-  for (PC N = 0; N < End; ++N)
-    if (P.at(N).is(InstrKind::Call) || P.at(N).is(InstrKind::CallI))
-      RetSuccs.push_back(P.at(N).next());
-  if (MachOpts.RsbOnEmpty == RsbPolicy::Circular)
-    RetSuccs.push_back(0);
-
-  auto Inf = [&](PC M) { return M <= End && Influenced[M]; };
-  for (PC N = 0; N < End; ++N) {
-    const Instruction &I = P.at(N);
-    bool A = false;
-    switch (I.kind()) {
-    case InstrKind::Op:
-    case InstrKind::Load:
-    case InstrKind::Store:
-    case InstrKind::Fence:
-      A = Inf(I.next());
-      break;
-    case InstrKind::Branch:
-      A = Inf(I.trueTarget()) || Inf(I.falseTarget());
-      break;
-    case InstrKind::Call:
-      A = Inf(I.callee()) || Inf(I.next());
-      break;
-    case InstrKind::JumpI:
-    case InstrKind::CallI:
-      A = true; // Data-driven target: reaches anything.
-      break;
-    case InstrKind::Ret:
-      if (RetUnknown)
-        A = true;
-      else
-        for (PC S : RetSuccs)
-          A = A || Inf(S);
-      break;
-    }
-    Ahead[N] = A;
-  }
-  return Ahead;
-}
-
-/// PcRemap over a mitigation's provenance: maps mitigated coordinates
-/// back to baseline ones.  Two tiers, chosen by what the transform
-/// inserted:
-///
-///  - Fence-only transforms (every new slot without provenance is a
-///    fence): all three channels map through the raw provenance, no
-///    influence veto.  The subtrees are not isomorphic — the mitigated
-///    one fetches fences the baseline never sees — but a fence only
-///    *removes* speculative behaviour (it blocks younger fetches until it
-///    retires) and its own fetch/retire steps observe nothing, so every
-///    observation the mitigated subtree can make, the baseline subtree
-///    makes too: leak-freedom transfers.  An inserted fence's own PC maps
-///    through the target channel to the old point whose arrival it
-///    guards; a configuration parked right before an unfetched fence
-///    likewise corresponds to the baseline state at the guarded point
-///    (fetchPoint).  A fence already *in flight* still refuses an image
-///    (its ROB entry has no baseline counterpart), and any state past a
-///    *consumed* fence simply never matches — retiring the fence shifted
-///    the buffer-index coordinates the fingerprint folds — so both are
-///    silent misses, never unsound hits.
-///  - Anything else inserted (retpoline thunks, masking ops) can change
-///    values and add observations, so the strict contract applies: the
-///    arrival (target) and in-flight (instr) channels refuse any
-///    influenced old point, and the fetch channel refuses points with an
-///    insertion still reachable ahead (consumed insertions are history —
-///    that is the one asymmetry a fetch point is entitled to).
-class MitigationRemap final : public PcRemap {
-public:
-  MitigationRemap(ProvenanceMap Map, std::vector<char> InfluencedOld,
-                  std::vector<char> AheadOld, bool FencesOnly, PC OldEnd,
-                  PC NewEnd)
-      : Map(std::move(Map)), Influenced(std::move(InfluencedOld)),
-        Ahead(std::move(AheadOld)), FencesOnly(FencesOnly), OldEnd(OldEnd),
-        NewEnd(NewEnd) {}
-
-  std::optional<PC> target(PC N) const override {
-    std::optional<PC> Old = Map.oldTargetOf(N);
-    if (!Old)
-      return std::nullopt;
-    if (!FencesOnly && *Old < Influenced.size() && Influenced[*Old])
-      return std::nullopt;
-    return Old;
-  }
-  std::optional<PC> instr(PC N) const override {
-    std::optional<PC> Old = Map.oldOf(N);
-    if (!Old)
-      return std::nullopt;
-    if (!FencesOnly && *Old < Influenced.size() && Influenced[*Old])
-      return std::nullopt;
-    return Old;
-  }
-  std::optional<PC> fetchPoint(PC N) const override {
-    // The terminal fetch point maps to the terminal fetch point even
-    // behind an inserted epilogue: nothing lies ahead of it.
-    if (N == NewEnd)
-      return OldEnd;
-    if (std::optional<PC> Old = Map.oldOf(N)) {
-      if (!FencesOnly && *Old < Ahead.size() && Ahead[*Old])
-        return std::nullopt;
-      return Old;
-    }
-    // Sitting at an inserted instruction.  Under a fence-only transform
-    // the machine is about to fetch a fence guarding arrival at some old
-    // point n: this state corresponds to the baseline state whose fetch
-    // point is n — the fence's own fetch/retire observe nothing, and
-    // everything beyond it is common to both programs.
-    if (FencesOnly)
-      return Map.oldTargetOf(N);
-    return std::nullopt;
-  }
-
-private:
-  ProvenanceMap Map;
-  std::vector<char> Influenced;
-  std::vector<char> Ahead;
-  bool FencesOnly;
-  PC OldEnd;
-  PC NewEnd;
-};
-
-/// Builds the reuse filter for a variant, or null when reuse would be
-/// unsound or pointless: truncated/short-circuited baselines cannot
-/// certify subtree coverage, and a transform that grows the register
-/// file (retpoline's scratch) shifts every fingerprint anyway.
-std::shared_ptr<const RemappedSeenFilter>
-makeReuseFilter(const Program &P, const Program &NewProg,
-                const ProvenanceMap &Map, const MachineOptions &MachOpts,
-                const CheckResult &Baseline) {
-  if (Baseline.Exploration.Truncated || Baseline.Opts.StopAtFirstLeak ||
-      !Baseline.Exploration.SeenExport)
-    return nullptr;
-  if (NewProg.numRegs() != P.numRegs())
-    return nullptr;
-  std::vector<char> Influenced = influencedOldPoints(P, Map, NewProg, MachOpts);
-  std::vector<char> Ahead = influencedAheadPoints(P, Influenced, MachOpts);
-  // Every provenance-less slot a fence <=> the fetch channel may drop its
-  // ahead veto entirely (see MitigationRemap).
-  bool FencesOnly = true;
-  for (PC N = 0; N < NewProg.endPC(); ++N)
-    if (!Map.oldOf(N) && !NewProg.at(N).is(InstrKind::Fence)) {
-      FencesOnly = false;
-      break;
-    }
-  auto Remap = std::make_shared<const MitigationRemap>(
-      Map, std::move(Influenced), std::move(Ahead), FencesOnly, P.endPC(),
-      NewProg.endPC());
-  return std::make_shared<const RemappedSeenFilter>(
-      Baseline.Exploration.SeenExport, Remap);
+/// The passes of every mitigation re-check: the SPS proof backend first
+/// (checker/SpsChecker.h), under the session's tape budgets.  A proof
+/// settles "restored SCT" outright — including on programs whose
+/// mitigated schedule tree the explorer cannot finish (kocher-05 fenced)
+/// — and a refutation yields source-level counterexamples the per-leak
+/// closure verdicts key on.  An Inconclusive run (a budget, or options
+/// outside the SPS fragment such as v4 mode) falls through to a plain
+/// exploration inside CheckSession::runOne.  The re-check is a verifier,
+/// not an agreement check: window-depth consults keep the proof sound
+/// and stop looping candidates from depth-clipping into Inconclusive.
+/// Witness minimization stays off.
+PassConfig recheckPasses(const SessionOptions &SOpts) {
+  PassConfig Passes;
+  Passes.ProveSps = true;
+  Passes.Sps = SOpts.Passes.Sps;
+  Passes.Sps.DepthToWindow = true;
+  return Passes;
 }
 
 /// The dedup key the baseline leak would carry at origin \p Origin.
@@ -432,24 +192,8 @@ MitigationVariant MitigationSession::checkVariant(
     T = V.Map.newTargetOf(T).value_or(T);
   for (PC &T : Req.Opts.RsbUnderflowTargets)
     T = V.Map.newTargetOf(T).value_or(T);
-  std::shared_ptr<const RemappedSeenFilter> Filter;
-  if (Opts.ReuseSeenStates) {
-    Filter = makeReuseFilter(P, V.Prog, V.Map, MachOpts, Baseline);
-    Req.Opts.Reuse = Filter;
-  }
-  if (Opts.ProveSpsRecheck) {
-    PassConfig &Passes = Req.Passes.emplace();
-    Passes.ProveSps = true;
-    Passes.Sps = Opts.Sps;
-    // The re-check is a verifier, not an agreement check: window-depth
-    // consults keep the proof sound and stop looping candidates from
-    // depth-clipping into Inconclusive (and the slow explorer fallback).
-    Passes.Sps.DepthToWindow = true;
-  }
+  Req.Passes = recheckPasses(Session.options());
   V.After = Session.check(Req);
-  V.ReusePrunedNodes = V.After.Exploration.ReusePrunedNodes;
-  if (Filter)
-    V.ReusePrunedAt = Filter->prunedRoots();
 
   // Per-leak closure: a baseline leak is closed iff the re-check found no
   // leak with the corresponding key (mapped origin) — or, when the origin
@@ -497,7 +241,6 @@ MitigationSession::run(const Program &P, const ExplorerOptions &Mode,
   Base.Id = "baseline";
   Base.Prog = P;
   Base.Opts = Mode;
-  Base.Opts.ExportSeenStates = Opts.ReuseSeenStates;
   Base.MOpts = MachOpts;
   Base.Passes.emplace().MinimizeWitnesses = Opts.MinimizeBaselineWitnesses;
   Rep.Baseline = Session.check(Base);
@@ -530,7 +273,6 @@ FencePlacementResult MitigationSession::minimizeFencePlacement(
     Base.Id = "baseline";
     Base.Prog = P;
     Base.Opts = Mode;
-    Base.Opts.ExportSeenStates = Opts.ReuseSeenStates;
     Base.MOpts = MachOpts;
     Base.Passes.emplace().MinimizeWitnesses = Opts.MinimizeBaselineWitnesses;
     R.Baseline = Session.check(Base);
@@ -543,7 +285,7 @@ FencePlacementResult MitigationSession::minimizeFencePlacement(
     return R;
   }
 
-  // One candidate fence set -> one diff-driven re-check.
+  // One candidate fence set -> one re-check.
   auto Verify = [&](const std::vector<PC> &Sites) -> bool {
     if (R.ChecksSpent >= FOpts.MaxChecks)
       return false;
@@ -560,23 +302,15 @@ FencePlacementResult MitigationSession::minimizeFencePlacement(
     Req.Opts = Mode;
     Req.MOpts = MachOpts;
     // The oracle is binary — secure or not — so a failing candidate can
-    // stop at its first leak instead of enumerating them all (a passing
-    // one necessarily explores everything either way).
+    // stop at its first counterexample or leak instead of enumerating
+    // them all (a passing one necessarily covers everything either way).
     Req.Opts.StopAtFirstLeak = true;
-    if (FOpts.ProveSps) {
-      PassConfig &Passes = Req.Passes.emplace();
-      Passes.ProveSps = true;
-      Passes.Sps = FOpts.Sps;
-      Passes.Sps.StopAtFirstCounterExample = true;
-      Passes.Sps.DepthToWindow = true; // Verifier depth; see checkVariant.
-    }
+    Req.Passes = recheckPasses(Session.options());
+    Req.Passes->Sps.StopAtFirstCounterExample = true;
     for (PC &T : Req.Opts.IndirectTargets)
       T = MR.Map.newTargetOf(T).value_or(T);
     for (PC &T : Req.Opts.RsbUnderflowTargets)
       T = MR.Map.newTargetOf(T).value_or(T);
-    if (Opts.ReuseSeenStates)
-      Req.Opts.Reuse =
-          makeReuseFilter(P, MR.Prog, MR.Map, MachOpts, R.Baseline);
     CheckResult CR = Session.check(Req);
     if (!CR.secure())
       return false;

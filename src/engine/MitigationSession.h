@@ -9,38 +9,28 @@
 /// The mitigation engine: checks a baseline program, applies any list of
 /// `Mitigation` transforms (checker/Mitigation.h), re-checks each
 /// mitigated variant, and reports — per baseline leak — whether the
-/// transform closed it, at what placement cost, and how much of the
-/// re-check the baseline exploration paid for.  On top of the report it
-/// offers a *minimal fence placement* search: shrink a blanket
+/// transform closed it and at what placement cost.  On top of the report
+/// it offers a *minimal fence placement* search: shrink a blanket
 /// `FencePolicy` down to a minimal fence set that still restores SCT.
 ///
-/// **Diff-driven re-checks.**  A mitigation only *closes* subtrees — it
-/// never opens behaviour the baseline machine lacked — so re-exploring
-/// the mitigated variant from scratch repeats work the baseline already
-/// did.  Two reuse mechanisms exploit that:
+/// **One re-check path.**  Whether a fence or retpoline closes a leak is
+/// a proof question: sequential constant-time of the SPS translation is
+/// speculative constant-time of the source, so every re-check — each
+/// variant in run() and each candidate of the placement search — runs
+/// the SPS proof backend (checker/SpsChecker.h) first, under the
+/// session's `PassConfig::Sps` budgets.  A conclusive report settles the
+/// re-check without exploring: Proved closes every baseline leak, and a
+/// CounterExample keeps open exactly the mapped origins it names.
+/// Inconclusive runs — a tape budget, or options outside the SPS
+/// fragment such as v4 mode — fall back to a plain exploration of the
+/// mitigated program, whose deduplicated leak set then decides.
 ///
-///  - *Seen-state reuse*: the baseline check exports its seen-state table
-///    plus the subset of claims with a leak (or unknown coverage) below
-///    them (`ExplorerOptions::ExportSeenStates`).  The mitigated re-check
-///    then prunes any candidate state whose configuration, hashed back
-///    into baseline coordinates through the transform's provenance map
-///    (`Configuration::hash(const PcRemap &)`), names a baseline subtree
-///    that was fully explored and certified leak-free — the
-///    `RemappedSeenFilter` of sched/SeenStates.h.  The remap refuses an
-///    image for any state from which an inserted instruction is still
-///    reachable (a static influence analysis over the old program's
-///    control flow), so a pruned state's subtree is isomorphic to its
-///    leak-free baseline twin and pruning cannot change the verdict:
-///    leak sets are identical with reuse on or off, only step counts
-///    move (tests/MitigationTest.cpp pins this across the corpus).
-///    Reuse is skipped when the baseline was truncated (its table would
-///    certify subtrees it never finished).
-///  - *Witness replay*: before trusting absence-of-leaks, each baseline
-///    witness (minimized when available) is replayed leniently on the
-///    mitigated program with directives mapped through the provenance;
-///    if it still reaches the same leak key the leak is *proven* open by
-///    a concrete schedule — `LeakClosure::ReplayPredictsOpen` — without
-///    waiting for the re-exploration to find it.
+/// **Witness replay.**  Beside the re-check, each baseline witness
+/// (minimized when available) is replayed leniently on the mitigated
+/// program with directives mapped through the provenance; if it still
+/// reaches the same leak key the leak is *proven* open by a concrete
+/// schedule — `LeakClosure::ReplayPredictsOpen` — independently of the
+/// re-check.
 ///
 /// **Cost.**  Each variant reports the transform's static cost
 /// (instructions/fences added, sites rewritten) and the dynamic cost the
@@ -95,15 +85,12 @@ struct MitigationVariant {
   /// The mitigated program and its provenance (valid iff !Error).
   Program Prog;
   ProvenanceMap Map;
-  /// The re-check outcome.
+  /// The re-check outcome: `After.Sps` is always engaged, and
+  /// `After.Exploration` is populated only when the proof was
+  /// inconclusive.
   CheckResult After;
   /// Per-baseline-leak closure verdicts, in baseline leak order.
   std::vector<LeakClosure> Leaks;
-  /// Schedule subtrees the baseline's seen-state table pruned from this
-  /// re-check: how many candidate states, and the distinct subtree-root
-  /// fetch points (baseline coordinates) they covered.
-  uint64_t ReusePrunedNodes = 0;
-  std::vector<PC> ReusePrunedAt;
 
   bool applied() const { return !Error.has_value(); }
   bool restoredSct() const { return applied() && After.secure(); }
@@ -124,24 +111,11 @@ struct MitigationReport {
 
 /// Session-level knobs.
 struct MitigationOptions {
-  /// Reuse the baseline's seen-state table in every mitigated re-check
-  /// (skipped automatically when the baseline was truncated or the
-  /// transform changed the register file).
-  bool ReuseSeenStates = true;
   /// Run the witness-replay pre-pass per leak.
   bool ReplayWitnesses = true;
   /// Minimize baseline witnesses (sharpens the replay pre-pass and the
   /// placement search's witness seed; costs the usual ddmin replays).
   bool MinimizeBaselineWitnesses = true;
-  /// Verify each mitigated variant with the SPS proof backend
-  /// (checker/SpsChecker.h) before falling back to re-exploration: a
-  /// proof settles "restored SCT" outright — including on programs whose
-  /// mitigated schedule tree the explorer cannot finish (kocher-05
-  /// fenced) — and a refutation yields source-level counterexamples the
-  /// per-leak closure verdicts key on.  Inconclusive runs fall through
-  /// to the ordinary diff-driven re-check transparently.
-  bool ProveSpsRecheck = false;
-  SpsOptions Sps;
 };
 
 /// Options for the minimal-fence-placement search.
@@ -156,12 +130,6 @@ struct FencePlacementOptions {
   /// actually touch — the diff says every other fence never mattered, so
   /// the seed usually verifies and skips most of ddmin's work.
   bool WitnessSeed = true;
-  /// Verify candidate fence sets with the SPS proof backend (conclusive
-  /// verdicts skip the candidate's re-exploration entirely; see
-  /// MitigationOptions::ProveSpsRecheck).  This is what makes minimal
-  /// placement tractable on explorer-intractable cases.
-  bool ProveSps = false;
-  SpsOptions Sps;
   /// Forwarded to FenceInsertion (jump-table relocation).
   std::vector<uint64_t> CodePointerAddrs;
   std::vector<Reg> CodePointerRegs;
@@ -213,8 +181,9 @@ public:
   /// Greedy/ddmin minimal fence placement: verifies the blanket policy
   /// restores SCT, seeds from the witness-touched sites, then
   /// delta-debugs the site set down to a minimal set that still checks
-  /// secure.  Every candidate re-check reuses the baseline's seen-state
-  /// table, so shrinking is much cheaper than |sites| fresh checks.
+  /// secure.  Every candidate re-check is an SPS proof that stops at its
+  /// first counterexample, so shrinking stays tractable on cases whose
+  /// fenced schedule tree the explorer cannot finish.
   /// \p Baseline, when non-null, supplies a baseline CheckResult this
   /// session already produced for \p P under \p Mode (e.g. from run())
   /// so the search does not re-explore it.

@@ -33,7 +33,7 @@ ResultCache::ResultCache(std::string Dir) : Directory(std::move(Dir)) {
 }
 
 bool sct::cacheable(const CheckRequest &Req) {
-  return !Req.Init && !Req.Opts.Reuse && !Req.Opts.ExportSeenStates;
+  return !Req.Init;
 }
 
 std::optional<ResultCache::Key>

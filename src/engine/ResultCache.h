@@ -23,8 +23,7 @@
 /// sessions sharing a cache directory see complete entries or none.
 ///
 /// **What is cacheable.**  Exactly the `cacheable()` requests: a custom
-/// initial configuration or a cross-exploration table handle (Reuse /
-/// ExportSeenStates) makes a check's outcome depend on state the key
+/// initial configuration makes a check's outcome depend on state the key
 /// cannot see, so those requests bypass the cache wholesale.  The dual
 /// obligation — every behavior-affecting *option* must be in the
 /// fingerprint — is the cache-key completeness invariant documented in
@@ -45,8 +44,7 @@
 namespace sct {
 
 /// True iff \p Req's outcome is a function of what the cache key sees:
-/// no custom initial configuration and no cross-exploration table
-/// handles (Reuse / ExportSeenStates).
+/// no custom initial configuration.
 bool cacheable(const CheckRequest &Req);
 
 /// Persistent content-addressed store of CheckResults.
@@ -68,7 +66,7 @@ public:
 
   /// The content address of \p Req under resolved passes \p Passes, or
   /// nullopt for requests whose outcome the key cannot capture (custom
-  /// Init, reuse filters, seen-state exports — see cacheable()).
+  /// Init — see cacheable()).
   static std::optional<Key> keyFor(const CheckRequest &Req,
                                    const PassConfig &Passes);
 

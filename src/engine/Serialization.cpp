@@ -417,12 +417,9 @@ void writeExploreResult(ByteWriter &W, const ExploreResult &E) {
   W.u64(E.TotalSteps);
   W.u64(E.PrunedNodes);
   W.u64(E.Steals);
-  W.u64(E.ReusePrunedNodes);
   W.u64(E.ConfigsForked);
   W.u64(E.RobBytesCopied);
   W.u64(E.RobBytesFlat);
-  // SeenExport is a cross-exploration table handle; cacheable() keeps
-  // such requests out of the cache, so stored results never carry one.
   W.b(E.Stats.has_value());
   if (E.Stats)
     writeExploreStats(W, *E.Stats);
@@ -440,7 +437,6 @@ bool readExploreResult(ByteReader &R, ExploreResult &E) {
   E.TotalSteps = R.u64();
   E.PrunedNodes = R.u64();
   E.Steals = R.u64();
-  E.ReusePrunedNodes = R.u64();
   E.ConfigsForked = R.u64();
   E.RobBytesCopied = R.u64();
   E.RobBytesFlat = R.u64();
@@ -575,8 +571,6 @@ void sct::writeExplorerOptions(ByteWriter &W, const ExplorerOptions &O) {
   W.b(O.StopAtFirstLeak);
   W.u32(O.Threads);
   W.b(O.PruneSeen);
-  W.b(O.ExportSeenStates);
-  // `Reuse` is a live table handle, not data; cacheable() gates it out.
   W.b(O.CollectStats);
 }
 
@@ -604,7 +598,6 @@ bool sct::readExplorerOptions(ByteReader &R, ExplorerOptions &O) {
   O.StopAtFirstLeak = R.b();
   O.Threads = R.u32();
   O.PruneSeen = R.b();
-  O.ExportSeenStates = R.b();
   O.CollectStats = R.b();
   return R.ok();
 }

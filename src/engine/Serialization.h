@@ -20,10 +20,8 @@
 /// every instruction field including pre-resolved successors), and
 /// re-serializing the round-tripped value yields byte-identical output —
 /// the property tests/SerializationTest.cpp holds over the random-program
-/// generator.  Two runtime-only fields are deliberately outside the
-/// format: `ExploreResult::SeenExport` and `ExplorerOptions::Reuse` (both
-/// cross-exploration table handles).  Requests carrying them (or a
-/// custom `Init`) are not `cacheable()` and never reach the cache.
+/// generator.  A request with a custom `Init` is not `cacheable()` and
+/// never reaches the cache.
 ///
 /// **Versioning.**  Every top-level payload starts with
 /// `SerializationFormatVersion`; readers reject other versions (a
@@ -41,7 +39,7 @@
 namespace sct {
 
 /// Bump on any cache format change.
-inline constexpr uint32_t SerializationFormatVersion = 3;
+inline constexpr uint32_t SerializationFormatVersion = 4;
 
 /// Field-level writers/readers (no version header; compose into the
 /// top-level payloads below).  Readers return false / disengaged on

@@ -46,21 +46,6 @@ using namespace sct;
 
 namespace {
 
-/// ExportSeenStates bookkeeping: the fingerprints a path claimed, as a
-/// persistent cons-list shared between a path and everything forked from
-/// it — fork inheritance is a pointer copy, not an O(depth) vector copy.
-/// `Marked` lets the leaky-below walk stop at the first node a previous
-/// walk already poisoned: a marked node's ancestors are marked too, so
-/// total marking work is linear in distinct claims.
-struct ClaimNode {
-  ClaimNode(uint64_t Fp, std::shared_ptr<const ClaimNode> Prev)
-      : Fp(Fp), Prev(std::move(Prev)) {}
-  uint64_t Fp;
-  std::shared_ptr<const ClaimNode> Prev;
-  mutable std::atomic<bool> Marked{false};
-};
-using ClaimTrail = std::shared_ptr<const ClaimNode>;
-
 /// One immutable segment of a schedule prefix.  A path's schedule is the
 /// concatenation of its chain's segments (oldest ancestor first) plus a
 /// mutable per-path suffix.  At every fork point the parent's suffix
@@ -135,10 +120,6 @@ struct ExploreNode {
   Schedule Suffix;
   /// Steps spent on this path (per-schedule budget accounting).
   size_t PathSteps = 0;
-  /// ExportSeenStates only: the fingerprints this node's path claimed in
-  /// the seen-state table — its ancestor decision points.  A leak (or a
-  /// coverage-unknown convergence prune) below marks them all leaky.
-  ClaimTrail Claims;
 };
 
 /// The work-queue exploration engine.
@@ -147,10 +128,7 @@ public:
   Engine(const Machine &M, const ExplorerOptions &Opts)
       : M(M), P(M.program()), Opts(Opts),
         NumWorkers(Opts.Threads > 1 ? Opts.Threads : 1),
-        Deques(NumWorkers > 1 ? NumWorkers : 0), Workers(NumWorkers) {
-    if (Opts.ExportSeenStates)
-      Export = std::make_shared<SeenStateExport>();
-  }
+        Deques(NumWorkers > 1 ? NumWorkers : 0), Workers(NumWorkers) {}
 
   ExploreResult run(Configuration Init) {
     {
@@ -199,9 +177,6 @@ private:
     size_t schedLen() const {
       return (Prefix ? Prefix->endLen() : 0) + Suffix.size();
     }
-    /// ExportSeenStates only: fingerprints claimed along this path (see
-    /// ExploreNode::Claims); forks share the trail by pointer.
-    ClaimTrail Claims;
     /// Set when the seen-state table proves this path converged onto an
     /// already-visited configuration (its subtree belongs to the first
     /// visitor); the path stops without completing a schedule.
@@ -248,28 +223,7 @@ private:
 
   /// Cross-schedule seen-state table (consulted only under
   /// Opts.PruneSeen; constructed unconditionally — 64 empty shards).
-  SeenStateTable OwnSeen;
-  /// Engaged iff Opts.ExportSeenStates: claims then land in the export's
-  /// table (returned through the result) and leak events / convergence
-  /// prunes mark claim trails into its LeakyBelow subset.
-  std::shared_ptr<SeenStateExport> Export;
-  std::atomic<uint64_t> ReusePruned{0};
-
-  SeenStateTable &seen() { return Export ? Export->Seen : OwnSeen; }
-
-  /// ExportSeenStates: a leak event below — or unknowable subtree
-  /// coverage at — the current path poisons every claim on its trail;
-  /// only unpoisoned claims certify leak-free subtrees to a reuse
-  /// consumer.  Stops at the first already-poisoned node (its ancestors
-  /// were poisoned by the same earlier walk).
-  void markLeakyTrail(const ClaimTrail &Claims) {
-    if (!Export)
-      return;
-    for (const ClaimNode *N = Claims.get();
-         N && !N->Marked.exchange(true, std::memory_order_acq_rel);
-         N = N->Prev.get())
-      Export->LeakyBelow.insert(N->Fp);
-  }
+  SeenStateTable Seen;
 
   /// Global leak dedup, shared by all workers under LeakMu so the
   /// MaxLeaks budget counts globally-unique keys exactly — a per-worker
@@ -309,7 +263,6 @@ private:
     N.Prefix = Pth.Prefix;
     N.Suffix = std::move(Pth.Suffix);
     N.PathSteps = Pth.Steps;
-    N.Claims = std::move(Pth.Claims);
     if (NumWorkers == 1) {
       Frontier.push_back(std::move(N));
       return;
@@ -328,7 +281,6 @@ private:
     Pth.Steps = N.PathSteps;
     Pth.StepsFlushed = N.PathSteps; // Published before the node parked.
     Pth.WorkerId = WorkerId;
-    Pth.Claims = std::move(N.Claims);
     return Pth;
   }
 
@@ -397,15 +349,13 @@ private:
     R.TotalSteps = TotalSteps.load();
     R.PrunedNodes = PrunedNodes.load();
     R.Steals = Steals.load();
-    R.ReusePrunedNodes = ReusePruned.load();
     R.ConfigsForked = ConfigsForked.load();
     R.RobBytesCopied = RobBytesCopied.load();
     R.RobBytesFlat = RobBytesFlat.load();
-    R.SeenExport = Export;
     R.Truncated = TruncatedFlag.load();
     if (Opts.CollectStats) {
       ExploreStats St;
-      St.Seen = seen().stats();
+      St.Seen = Seen.stats();
       St.ForkInsertNew = ForkNew.load();
       St.ForkInsertDup = ForkDup.load();
       St.ConvergenceChecks = ConvChecks.load();
@@ -472,30 +422,19 @@ private:
     ++Pth.Steps;
     if (Outcome->Obs.isSecret())
       recordLeak(Pth, Outcome->Obs, Origin, Outcome->Rule);
-    if (!Pth.Dead && (Opts.PruneSeen || Opts.Reuse) &&
+    if (!Pth.Dead && Opts.PruneSeen &&
         (Outcome->Rule == RuleId::StoreExecuteAddrHazard ||
          Outcome->Rule == RuleId::LoadExecuteAddrHazard ||
          Outcome->Rule == RuleId::LoadExecuteAddrMemHazard)) {
-      bool Converged = false;
-      if (Opts.PruneSeen) {
-        if (Opts.CollectStats)
-          ConvChecks.fetch_add(1, std::memory_order_relaxed);
-        // Probe through the mutable configuration: the memoizing hash()
-        // overload folds the reorder buffer's pending entries once, where
-        // the const one would re-walk them at every probe.
-        Converged = seen().contains(Pth.C.hash());
-      }
-      if (Converged) {
+      if (Opts.CollectStats)
+        ConvChecks.fetch_add(1, std::memory_order_relaxed);
+      // Probe through the mutable configuration: the memoizing hash()
+      // overload folds the reorder buffer's pending entries once, where
+      // the const one would re-walk them at every probe.
+      if (Seen.contains(Pth.C.hash())) {
         if (Opts.CollectStats)
           ConvPrunes.fetch_add(1, std::memory_order_relaxed);
         PrunedNodes.fetch_add(1, std::memory_order_relaxed);
-        // The claimant explored (or will explore) this subtree, but a
-        // reuse consumer cannot know whether it leaks from *this* trail's
-        // vantage: poison it.
-        markLeakyTrail(Pth.Claims);
-        Pth.Dead = true;
-      } else if (Opts.Reuse && Opts.Reuse->covered(Pth.C)) {
-        ReusePruned.fetch_add(1, std::memory_order_relaxed);
         Pth.Dead = true;
       }
     }
@@ -504,9 +443,6 @@ private:
 
   void recordLeak(Path &Pth, const Observation &Obs, PC Origin, RuleId Rule) {
     LeakEvents.fetch_add(1, std::memory_order_relaxed);
-    // Every leak event — duplicates included — poisons the trail: no
-    // ancestor claim of this path certifies a leak-free subtree.
-    markLeakyTrail(Pth.Claims);
     Schedule Full;
     Full.reserve(Pth.schedLen());
     flatten(Pth.Prefix, Pth.Suffix, Full);
@@ -595,39 +531,25 @@ private:
           flushSteps(F);
         if (Pth.Dead)
           Alive = false;
-        if ((Opts.PruneSeen || Opts.Reuse) && !Forks.empty()) {
+        if (Opts.PruneSeen && !Forks.empty()) {
           // Cross-schedule pruning happens where nodes are born: a fork
           // whose probed configuration was already visited (or whose
           // probing steps died on a visited hazard state) is dropped
-          // before it costs a frontier slot.  The cross-*program* reuse
-          // filter cuts in at the same point: a fork covered by the
-          // original exploration's leak-free certificate never becomes a
-          // node at all.
+          // before it costs a frontier slot.
           size_t Live = 0;
           for (size_t I = 0; I < Forks.size(); ++I) {
             Path &F = Forks[I];
             if (F.Dead)
-              continue; // Counted (and trail-poisoned) at the hazard.
-            if (Opts.Reuse && Opts.Reuse->covered(F.C)) {
-              ReusePruned.fetch_add(1, std::memory_order_relaxed);
+              continue; // Counted at the hazard.
+            if (!Seen.insert(F.C.hash())) {
+              if (Opts.CollectStats)
+                ForkDup.fetch_add(1, std::memory_order_relaxed);
+              PrunedNodes.fetch_add(1, std::memory_order_relaxed);
               continue;
             }
-            if (Opts.PruneSeen) {
-              uint64_t H = F.C.hash();
-              if (!seen().insert(H)) {
-                if (Opts.CollectStats)
-                  ForkDup.fetch_add(1, std::memory_order_relaxed);
-                PrunedNodes.fetch_add(1, std::memory_order_relaxed);
-                markLeakyTrail(F.Claims);
-                continue;
-              }
-              if (Opts.CollectStats) {
-                ForkNew.fetch_add(1, std::memory_order_relaxed);
-                noteNewState(F.WorkerId, F.schedLen());
-              }
-              if (Export)
-                F.Claims =
-                    std::make_shared<const ClaimNode>(H, std::move(F.Claims));
+            if (Opts.CollectStats) {
+              ForkNew.fetch_add(1, std::memory_order_relaxed);
+              noteNewState(F.WorkerId, F.schedLen());
             }
             if (Live != I)
               Forks[Live] = std::move(F);
@@ -636,28 +558,17 @@ private:
           Forks.resize(Live);
         }
         if (!Forks.empty()) {
-          if (Alive && Opts.Reuse && Opts.Reuse->covered(Pth.C)) {
-            ReusePruned.fetch_add(1, std::memory_order_relaxed);
-            Alive = false;
-          }
           if (Alive && Opts.PruneSeen) {
-            uint64_t H = Pth.C.hash();
-            if (!seen().insert(H)) {
+            if (!Seen.insert(Pth.C.hash())) {
               // The fall-through continuation converged onto a visited
               // state; its subtree is owned elsewhere.
               if (Opts.CollectStats)
                 ForkDup.fetch_add(1, std::memory_order_relaxed);
               PrunedNodes.fetch_add(1, std::memory_order_relaxed);
-              markLeakyTrail(Pth.Claims);
               Alive = false;
-            } else {
-              if (Opts.CollectStats) {
-                ForkNew.fetch_add(1, std::memory_order_relaxed);
-                noteNewState(Pth.WorkerId, Pth.schedLen());
-              }
-              if (Export)
-                Pth.Claims =
-                    std::make_shared<const ClaimNode>(H, std::move(Pth.Claims));
+            } else if (Opts.CollectStats) {
+              ForkNew.fetch_add(1, std::memory_order_relaxed);
+              noteNewState(Pth.WorkerId, Pth.schedLen());
             }
           }
           unsigned WorkerId = Pth.WorkerId;
@@ -723,7 +634,6 @@ private:
       F.Steps = Pth.Steps;
       F.StepsFlushed = Pth.Steps; // Inherited steps were published already.
       F.WorkerId = Pth.WorkerId;
-      F.Claims = Pth.Claims; // Export: shared ancestor trail (cons-list).
       return F;
     };
 

@@ -137,22 +137,6 @@ struct ExplorerOptions {
   /// `PruneSeen = false` when exploration statistics must match the
   /// unpruned engine exactly.
   bool PruneSeen = true;
-  /// Export this run's seen-state table and its leaky-below subset in
-  /// `ExploreResult::SeenExport` (sched/SeenStates.h).  Requires PruneSeen
-  /// (claims are what gets exported; with pruning off the export is
-  /// empty).  Costs a per-path claim trail — a persistent cons-list
-  /// shared between a path and its forks, one node per claim — so it is
-  /// opt-in for consumers that re-check a transformed twin of this
-  /// program (engine/MitigationSession.h).
-  bool ExportSeenStates = false;
-  /// Cross-program reuse: drop frontier candidates (and cut hazard
-  /// re-executions short) whose configuration is covered() by a prior
-  /// exploration of a relocation-equivalent program — the diff-driven
-  /// re-check behind mitigation validation.  The filter's PcRemap
-  /// contract (see RemappedSeenFilter) is what keeps the leak set
-  /// byte-identical with the filter on or off; `ReusePrunedNodes` counts
-  /// what it saved.
-  std::shared_ptr<const RemappedSeenFilter> Reuse;
   /// Collect ExploreStats (engages `ExploreResult::Stats`).  Off by
   /// default: the per-depth tallies cost a few atomics per fork, and the
   /// counters are a diagnosis tool (`sctcheck --stats`), not part of any
@@ -256,10 +240,6 @@ struct ExploreResult {
   /// Successful steal operations between frontier shards (Threads > 1;
   /// each may move many nodes at once).
   uint64_t Steals = 0;
-  /// Frontier candidates dropped (and hazard re-executions cut short)
-  /// because a prior exploration's exported table covered them
-  /// (`ExplorerOptions::Reuse`).
-  uint64_t ReusePrunedNodes = 0;
   /// Schedule-tree forks: how many configurations were copied at fork
   /// sites, the reorder-buffer bytes those copies actually moved
   /// (chunk references plus the private tail, under the structurally
@@ -270,11 +250,6 @@ struct ExploreResult {
   uint64_t ConfigsForked = 0;
   uint64_t RobBytesCopied = 0;
   uint64_t RobBytesFlat = 0;
-  /// This run's claimed states and their leaky-below subset; engaged iff
-  /// `ExplorerOptions::ExportSeenStates`.  Feed it to a
-  /// RemappedSeenFilter to reuse this exploration when re-checking a
-  /// relocated twin of the program.
-  std::shared_ptr<const SeenStateExport> SeenExport;
   /// Diagnostic counters; engaged iff `ExplorerOptions::CollectStats`.
   std::optional<ExploreStats> Stats;
   /// True iff some budget was exhausted (exploration incomplete).

@@ -27,12 +27,9 @@
 #ifndef SCT_SCHED_SEENSTATES_H
 #define SCT_SCHED_SEENSTATES_H
 
-#include "core/Configuration.h"
-
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <vector>
 
 namespace sct {
@@ -183,77 +180,6 @@ private:
 
   std::unique_ptr<Shard[]> Shards;
   unsigned Mask = 0;
-};
-
-/// An exploration's exported seen-state evidence
-/// (`ExplorerOptions::ExportSeenStates`): the claimed fingerprints, plus
-/// the subset of claims that cannot be certified leak-free — a leak event
-/// occurred somewhere below them, or their subtree's coverage is unknown
-/// because a convergence prune cut a path short there.  `Seen \
-/// LeakyBelow` is therefore the set of states whose whole schedule
-/// subtree was explored and found clean; that is the certificate the
-/// cross-program reuse filter below consumes.
-struct SeenStateExport {
-  SeenStateTable Seen;
-  SeenStateTable LeakyBelow;
-};
-
-/// The index-remapping adapter behind mitigation re-check reuse
-/// (engine/MitigationSession.h): lets a *relocated* program's
-/// configurations hash commensurably with the original program's states
-/// via `Configuration::hash(const PcRemap &)`, and answers whether a
-/// candidate state is *covered* by the original exploration — i.e. its
-/// remapped fingerprint was claimed there and certified leak-free.
-///
-/// Soundness rests on the PcRemap the caller supplies: it must return an
-/// image only for states whose relocated schedule subtree cannot observe
-/// anything the original's subtree does not — subtree isomorphism (no
-/// inserted instruction reachable; the engine layer's influence analysis
-/// enforces this by mapping influenced points to nullopt) is the strict
-/// version, and fence-only insertions qualify under the weaker
-/// observation-subset reading (engine/MitigationSession.cpp's
-/// MitigationRemap).  Under that contract, pruning a covered state loses
-/// nothing: the original subtree was fully explored and contains no
-/// leak, so the relocated state's subtree cannot either.  Residual
-/// caveats are the table's usual 64-bit fingerprint collisions.
-///
-/// Thread-safety: covered() is safe from any number of explorer workers;
-/// the root-site record is mutex-guarded.
-class RemappedSeenFilter {
-public:
-  RemappedSeenFilter(std::shared_ptr<const SeenStateExport> Base,
-                     std::shared_ptr<const PcRemap> Remap)
-      : Base(std::move(Base)), Remap(std::move(Remap)) {}
-
-  /// True iff \p C's remapped fingerprint names a claimed, leak-free
-  /// original subtree.  Records the subtree root's fetch point (original
-  /// coordinates) for reporting.
-  bool covered(const Configuration &C) const {
-    std::optional<uint64_t> H = C.hash(*Remap);
-    if (!H)
-      return false;
-    if (!Base->Seen.contains(*H) || Base->LeakyBelow.contains(*H))
-      return false;
-    if (std::optional<PC> Root = Remap->fetchPoint(C.N)) {
-      std::lock_guard<std::mutex> L(Mu);
-      Roots.insert(*Root);
-    }
-    return true;
-  }
-
-  /// Fetch points (original coordinates) of the subtrees covered()
-  /// pruned, sorted.  Meaningful after the exploration consuming the
-  /// filter has finished.
-  std::vector<PC> prunedRoots() const {
-    std::lock_guard<std::mutex> L(Mu);
-    return std::vector<PC>(Roots.begin(), Roots.end());
-  }
-
-private:
-  std::shared_ptr<const SeenStateExport> Base;
-  std::shared_ptr<const PcRemap> Remap;
-  mutable std::mutex Mu;
-  mutable std::set<PC> Roots;
 };
 
 } // namespace sct

@@ -17,8 +17,6 @@
 //     trajectories seen-state pruning actually fingerprints;
 //   - copy-on-write sharing and unsharing (configuration copies that then
 //     diverge) preserves both sides' fingerprints;
-//   - the remap-aware hash under an identity remap equals the plain hash
-//     (the full-walk fallback path used by mitigation re-check reuse);
 //   - the flat copy-on-write memory agrees with a reference map oracle on
 //     every load, and is canonical: store order and default-valued cells
 //     do not affect equality or the fingerprint.
@@ -147,41 +145,6 @@ TEST_P(HashEquivalence, CowUnsharePreservesBothFingerprints) {
   // Both sides' incremental fingerprints survived the unsharing writes.
   expectHashesMatchScratch(A, Seed, Half + 1000);
   expectHashesMatchScratch(B, Seed, Half + 2000);
-}
-
-/// The trivial remap: every point maps to itself.  Under it the
-/// remap-aware full-walk hash must reproduce the plain fingerprint — the
-/// property the mitigation reuse filter's commensurability rests on.
-struct IdentityRemap final : PcRemap {
-  std::optional<PC> target(PC N) const override { return N; }
-  std::optional<PC> instr(PC N) const override { return N; }
-};
-
-TEST_P(HashEquivalence, IdentityRemapEqualsPlainHash) {
-  uint64_t Seed = GetParam();
-  Program P = randomProgram(Seed);
-  Machine M(P);
-  Configuration C = Configuration::initial(P);
-
-  RandomRunOptions Ropts;
-  Ropts.Seed = Seed * 389 + 11;
-  Ropts.MaxSteps = 150;
-  RunResult R = runRandom(M, C, Ropts);
-
-  IdentityRemap Id;
-  size_t Step = 0;
-  for (const StepRecord &S : R.Trace) {
-    ASSERT_TRUE(M.step(C, S.D).has_value());
-    ++Step;
-    if (Step % 7 != 0) // Sample; the walk is O(state).
-      continue;
-    std::optional<uint64_t> H = C.hash(Id);
-    ASSERT_TRUE(H.has_value()) << "identity remap refused a point";
-    EXPECT_EQ(*H, C.hash()) << "seed " << Seed << " step " << Step;
-    std::optional<uint64_t> BufH = C.Buf.hash(Id);
-    ASSERT_TRUE(BufH.has_value());
-    EXPECT_EQ(*BufH, C.Buf.hash());
-  }
 }
 
 //===------------------------------------------------ flat memory oracle ---===//

@@ -1,17 +1,17 @@
 //===- tests/MitigationTest.cpp - The mitigation engine ---------------------===//
 //
 // The MitigationSession contracts:
-//  - remap-aware hashing is in lockstep with the plain hash (identity
-//    remap == no remap);
-//  - before/after leak sets are byte-identical with and without
-//    seen-state reuse on every Kocher/mee/ssl3 case — reuse changes step
-//    counts, never verdicts;
+//  - every re-check runs the SPS proof first, and its verdicts — restored
+//    SCT and each per-leak closure — agree with a fresh exploration of
+//    the mitigated program;
+//  - out-of-fragment (v4-mode) re-checks fall back to a plain exploration
+//    whose leak set equals a fresh check's;
 //  - per-leak closure and the witness-replay pre-pass agree with ground
 //    truth (identity transform leaves every leak open and replayable;
 //    blanket fences close them);
 //  - minimal fence placement restores SCT with strictly fewer fences
 //    than the blanket policy on at least half the leaky corpus, and the
-//    minimal set verifies secure through a fresh, reuse-free check;
+//    minimal set verifies secure through a fresh check;
 //  - the engine is thread-safe (the TSan job drives this suite at
 //    Threads=8).
 //
@@ -36,119 +36,38 @@ using namespace sct;
 
 namespace {
 
-/// The identity remap: every point maps to itself.  hash(Identity) must
-/// equal hash() — the lockstep invariant the reuse machinery rests on.
-struct IdentityRemap final : PcRemap {
-  std::optional<PC> target(PC N) const override { return N; }
-  std::optional<PC> instr(PC N) const override { return N; }
-};
-
-std::multiset<uint64_t> leakKeys(const CheckResult &R) {
+std::multiset<uint64_t> leakKeys(const std::vector<LeakRecord> &Leaks) {
   std::multiset<uint64_t> Keys;
-  for (const LeakRecord &L : R.Exploration.Leaks)
+  for (const LeakRecord &L : Leaks)
     Keys.insert(L.key());
   return Keys;
 }
 
-MitigationSession makeSession(bool Reuse, unsigned Threads = 1,
-                              bool Minimize = true, bool ProveSps = false) {
+std::multiset<uint64_t> leakKeys(const CheckResult &R) {
+  return leakKeys(R.Exploration.Leaks);
+}
+
+MitigationSession makeSession(unsigned Threads = 1, bool Minimize = true) {
   SessionOptions SOpts;
   SOpts.Threads = Threads;
   MitigationOptions MOpts;
-  MOpts.ReuseSeenStates = Reuse;
   MOpts.MinimizeBaselineWitnesses = Minimize;
   MOpts.ReplayWitnesses = Minimize;
-  MOpts.ProveSpsRecheck = ProveSps;
   return MitigationSession(SOpts, MOpts);
 }
 
 } // namespace
 
-TEST(RemappedHash, IdentityRemapMatchesPlainHash) {
-  // Walk a real speculative execution and compare hashes at every step —
-  // buffers full of transients, RSB journal entries included.
-  for (const SuiteCase &C : {ssl3C(), meeC(), kocherCases().front()}) {
-    Machine M(C.Prog);
-    Configuration Init = Configuration::initial(C.Prog);
-    SctReport R = checkSct(C.Prog, v4Mode());
-    IdentityRemap Id;
-    Configuration Cfg = Init;
-    ASSERT_EQ(Cfg.hash(), Cfg.hash(Id).value()) << C.Id;
-    if (R.Exploration.Leaks.empty())
-      continue;
-    for (const Directive &D : R.Exploration.Leaks.front().Sched) {
-      if (!M.step(Cfg, D))
-        continue;
-      std::optional<uint64_t> H = Cfg.hash(Id);
-      ASSERT_TRUE(H.has_value()) << C.Id;
-      EXPECT_EQ(Cfg.hash(), *H) << C.Id;
-    }
-  }
-}
-
-TEST(MitigationSession, ReuseNeverChangesVerdicts) {
-  // The acceptance bar: before/after leak sets byte-identical with and
-  // without seen-state reuse on every Kocher / mee / ssl3 case.
-  // (Minimization/replay off: they are orthogonal to leak-set identity,
-  // and the v1v11 fenced crypto trees are minutes-deep — the crypto
-  // cases run in the v4 mode that flags them.)
-  MitigationSession With = makeSession(true, 1, /*Minimize=*/false);
-  MitigationSession Without = makeSession(false, 1, /*Minimize=*/false);
-
-  struct Case {
-    SuiteCase C;
-    ExplorerOptions Mode;
-    FencePolicy Policy;
-  };
-  std::vector<Case> Cases;
-  for (const SuiteCase &C : kocherCases())
-    Cases.push_back({C, v1v11Mode(), FencePolicy::BranchTargets});
-  for (const SuiteCase &C : {meeC(), meeFact(), ssl3C(), ssl3Fact()})
-    Cases.push_back({C, v4Mode(), FencePolicy::BranchTargetsAndStores});
-
-  for (const Case &K : Cases) {
-    FenceInsertion FI(K.Policy);
-    MitigationReport A = With.run(K.C.Prog, K.Mode, FI);
-    const MitigationVariant &VA = A.Variants.front();
-    ASSERT_TRUE(VA.applied()) << K.C.Id;
-    // The without-reuse re-check *is* a plain from-scratch check of the
-    // mitigated program; compare against it directly.
-    SctReport Fresh = checkSct(VA.Prog, K.Mode);
-    std::multiset<uint64_t> FreshKeys;
-    for (const LeakRecord &L : Fresh.Exploration.Leaks)
-      FreshKeys.insert(L.key());
-    EXPECT_EQ(leakKeys(VA.After), FreshKeys)
-        << K.C.Id << ": reuse changed the mitigated leak set";
-    // And the baseline must match the plain checker too (the export is
-    // metadata, never behaviour).
-    SctReport FreshBase = checkSct(K.C.Prog, K.Mode);
-    std::multiset<uint64_t> BaseKeys;
-    for (const LeakRecord &L : FreshBase.Exploration.Leaks)
-      BaseKeys.insert(L.key());
-    EXPECT_EQ(leakKeys(A.Baseline), BaseKeys) << K.C.Id;
-    // Spot-check the Without session end-to-end on a couple of cases
-    // (it skips the whole reuse machinery, so a full sweep would only
-    // re-time the explorer).
-    if (&K == &Cases.front() || &K == &Cases.back()) {
-      MitigationReport B = Without.run(K.C.Prog, K.Mode, FI);
-      const MitigationVariant &VB = B.Variants.front();
-      EXPECT_EQ(leakKeys(VA.After), leakKeys(VB.After)) << K.C.Id;
-      EXPECT_EQ(VB.ReusePrunedNodes, 0u);
-      ASSERT_EQ(VA.Leaks.size(), VB.Leaks.size()) << K.C.Id;
-      for (size_t I = 0; I < VA.Leaks.size(); ++I)
-        EXPECT_EQ(VA.Leaks[I].Closed, VB.Leaks[I].Closed) << K.C.Id;
-    }
-  }
-}
-
 TEST(MitigationSession, IdentityTransformLeavesLeaksOpenAndReplayable) {
   // A zero-site fence "mitigation" is the identity: every baseline leak
   // must be reported open, the witness-replay pre-pass must prove it
-  // (the witness replays verbatim), and — since the programs are the
-  // same — seen-state reuse must prune the re-check's leak-free subtrees
-  // without losing a single leak.
-  MitigationSession MS = makeSession(true);
-  unsigned SawReusePruning = 0;
+  // (the witness replays verbatim), and the SPS re-check must refute the
+  // unchanged program with a counterexample at every leak's origin.  The
+  // one exception is kocher-05, whose unfenced tape tree outgrows the
+  // default budget: there the fallback exploration decides and must
+  // reproduce the baseline leak set.
+  MitigationSession MS = makeSession();
+  unsigned Refuted = 0;
   for (const SuiteCase &C : kocherCases()) {
     FenceInsertion Identity(std::vector<PC>{});
     MitigationReport Rep = MS.run(C.Prog, v1v11Mode(), Identity);
@@ -156,18 +75,27 @@ TEST(MitigationSession, IdentityTransformLeavesLeaksOpenAndReplayable) {
       continue;
     const MitigationVariant &V = Rep.Variants.front();
     ASSERT_TRUE(V.applied()) << C.Id;
-    EXPECT_EQ(leakKeys(V.After), leakKeys(Rep.Baseline)) << C.Id;
+    ASSERT_TRUE(V.After.Sps.has_value()) << C.Id;
+    const SpsReport &S = *V.After.Sps;
+    if (S.conclusive()) {
+      ASSERT_EQ(S.Verdict, SpsVerdict::CounterExample) << C.Id;
+      ++Refuted;
+    } else {
+      EXPECT_EQ(C.Id, "kocher-05") << S.Reason;
+      EXPECT_EQ(leakKeys(V.After), leakKeys(Rep.Baseline)) << C.Id;
+    }
     for (const LeakClosure &L : V.Leaks) {
       EXPECT_FALSE(L.Closed) << C.Id;
       EXPECT_TRUE(L.ReplayPredictsOpen) << C.Id;
       ASSERT_TRUE(L.MitigatedOrigin.has_value()) << C.Id;
       EXPECT_EQ(*L.MitigatedOrigin, L.Origin) << C.Id;
+      if (S.conclusive()) {
+        EXPECT_TRUE(S.hasCounterExampleAt(*L.MitigatedOrigin))
+            << C.Id << " leak at origin " << L.Origin;
+      }
     }
-    SawReusePruning += V.ReusePrunedNodes > 0;
   }
-  // Reuse must actually engage somewhere (the identity diff is the
-  // maximal-overlap case).
-  EXPECT_GT(SawReusePruning, 0u);
+  EXPECT_GE(Refuted, 10u);
 }
 
 TEST(MitigationSession, BlanketFencesCloseKocherLeaks) {
@@ -175,7 +103,7 @@ TEST(MitigationSession, BlanketFencesCloseKocherLeaks) {
   // their schedule trees — which is what lets kocher-05 run here: its
   // fenced tree alone used to eat the 8M-step budget (~1 min), and the
   // proof settles it in milliseconds.
-  MitigationSession MS = makeSession(true, 1, true, /*ProveSps=*/true);
+  MitigationSession MS = makeSession();
   unsigned Checked = 0;
   for (const SuiteCase &C : kocherCases()) {
     if (C.ExpectSeqLeak || !C.ExpectV1V11Leak)
@@ -202,92 +130,80 @@ TEST(MitigationSession, BlanketFencesCloseKocherLeaks) {
   }
 }
 
-TEST(MitigationSession, FenceOnlyTransformsReusePastConsumedFences) {
-  // Blanket fencing is the worst case for the strict (isomorphism)
-  // reuse contract: the epilogue fence sits right before the old end
-  // point, so the influence fixpoint marks *every* old point influenced
-  // and the remap refuses every image — the re-check used to run with
-  // ReusePrunedNodes == 0 on this exact corpus.  The fence-only tier
-  // (engine/MitigationSession.cpp's MitigationRemap) restores reuse for
-  // the shared pre-fence region: inserted fences only remove speculative
-  // behaviour, so a matched baseline certificate still transfers.  Pin
-  // that the prunes actually happen now, and that they change step
-  // counts, never verdicts (ReuseNeverChangesVerdicts sweeps the leak
-  // sets; this asserts the closure verdicts directly).
-  MitigationSession MS = makeSession(true, 1, /*Minimize=*/false);
-  unsigned Checked = 0, CasesPruning = 0;
-  uint64_t TotalPruned = 0;
-  for (const SuiteCase &C : kocherCases()) {
-    if (C.ExpectSeqLeak || !C.ExpectV1V11Leak)
-      continue;
-    if (++Checked > 6)
-      break;
-    MitigationReport Rep =
-        MS.run(C.Prog, v1v11Mode(), FenceInsertion(FencePolicy::BranchTargets));
-    const MitigationVariant &V = Rep.Variants.front();
-    ASSERT_TRUE(V.applied()) << C.Id;
-    EXPECT_TRUE(V.restoredSct()) << C.Id;
-    TotalPruned += V.ReusePrunedNodes;
-    CasesPruning += V.ReusePrunedNodes > 0;
-  }
-  EXPECT_EQ(Checked, 7u); // Six cases examined (loop broke on the 7th).
-  EXPECT_GT(TotalPruned, 0u)
-      << "fence-only relaxation regressed: blanket fencing prunes nothing";
-  EXPECT_GE(CasesPruning, 3u);
-}
-
-TEST(MitigationSession, SpsRecheckAgreesWithReuseCertificateSweep) {
-  // The reuse-certificate machinery and the SPS proof backend are
-  // independent verifiers of the same mitigated programs: one diff-driven
-  // re-exploration with seen-state pruning, one tape-tree proof.  Sweep
-  // the fence-fixable corpus through both and assert every verdict —
+TEST(MitigationSession, SpsRecheckAgreesWithPlainRecheck) {
+  // The SPS-first re-check against an independent oracle: a fresh,
+  // ordinary exploration of the same mitigated program.  Sweep the
+  // fence-fixable Kocher and v1.1 cases and assert every verdict —
   // restored-SCT and each per-leak closure flag — agrees.  (kocher-05 is
   // the one case the explorer side cannot finish; the SPS side still must
   // prove it, which BlanketFencesCloseKocherLeaks pins above.)
-  MitigationSession Sps = makeSession(true, 1, true, /*ProveSps=*/true);
-  MitigationSession Explored = makeSession(true);
+  MitigationSession MS = makeSession();
+  std::vector<SuiteCase> Cases = kocherCases();
+  for (const SuiteCase &C : spectreV11Cases())
+    Cases.push_back(C);
   unsigned Compared = 0;
-  for (const SuiteCase &C : kocherCases()) {
+  for (const SuiteCase &C : Cases) {
     if (C.ExpectSeqLeak || !C.ExpectV1V11Leak || C.Id == "kocher-05")
       continue;
-    FenceInsertion FI(FencePolicy::BranchTargets);
-    MitigationReport A = Sps.run(C.Prog, v1v11Mode(), FI);
-    MitigationReport B = Explored.run(C.Prog, v1v11Mode(), FI);
-    const MitigationVariant &VA = A.Variants.front();
-    const MitigationVariant &VB = B.Variants.front();
-    ASSERT_TRUE(VA.applied() && VB.applied()) << C.Id;
+    MitigationReport Rep = MS.run(C.Prog, v1v11Mode(),
+                                  FenceInsertion(FencePolicy::BranchTargets));
+    const MitigationVariant &V = Rep.Variants.front();
+    ASSERT_TRUE(V.applied()) << C.Id;
     // The SPS path must actually have settled the re-check — otherwise
     // this compares the explorer against itself.
-    ASSERT_TRUE(VA.After.Sps && VA.After.Sps->conclusive()) << C.Id;
-    EXPECT_EQ(VA.restoredSct(), VB.restoredSct()) << C.Id;
-    ASSERT_EQ(VA.Leaks.size(), VB.Leaks.size()) << C.Id;
-    for (size_t I = 0; I < VA.Leaks.size(); ++I) {
-      EXPECT_EQ(VA.Leaks[I].Closed, VB.Leaks[I].Closed)
-          << C.Id << " leak " << I << " at origin " << VA.Leaks[I].Origin;
-      EXPECT_EQ(VA.Leaks[I].BaselineKey, VB.Leaks[I].BaselineKey) << C.Id;
+    ASSERT_TRUE(V.After.Sps && V.After.Sps->conclusive()) << C.Id;
+    SctReport Fresh = checkSct(V.Prog, v1v11Mode());
+    ASSERT_FALSE(Fresh.Exploration.Truncated) << C.Id;
+    EXPECT_EQ(V.restoredSct(), Fresh.secure()) << C.Id;
+    std::multiset<uint64_t> FreshKeys = leakKeys(Fresh.Exploration.Leaks);
+    ASSERT_EQ(V.Leaks.size(), Rep.Baseline.Exploration.Leaks.size()) << C.Id;
+    for (size_t I = 0; I < V.Leaks.size(); ++I) {
+      const LeakRecord &L = Rep.Baseline.Exploration.Leaks[I];
+      ASSERT_TRUE(V.Leaks[I].MitigatedOrigin.has_value()) << C.Id;
+      LeakRecord AtImage = L;
+      AtImage.Origin = *V.Leaks[I].MitigatedOrigin;
+      EXPECT_EQ(V.Leaks[I].Closed, !FreshKeys.count(AtImage.key()))
+          << C.Id << " leak " << I << " at origin " << L.Origin;
     }
     ++Compared;
   }
   EXPECT_GE(Compared, 5u);
 }
 
+TEST(MitigationSession, V4RechecksFallBackToExploration) {
+  // v4 mode lies outside the SPS fragment: the proof reports Inconclusive
+  // and the re-check falls through to a plain exploration, whose leak
+  // set must be exactly a fresh check's.  Minimization and replay are
+  // off: they are orthogonal to leak-set identity.
+  MitigationSession MS = makeSession(1, /*Minimize=*/false);
+  for (const SuiteCase &C : {meeC(), meeFact(), ssl3C(), ssl3Fact()}) {
+    MitigationReport Rep =
+        MS.run(C.Prog, v4Mode(),
+               FenceInsertion(FencePolicy::BranchTargetsAndStores));
+    const MitigationVariant &V = Rep.Variants.front();
+    ASSERT_TRUE(V.applied()) << C.Id;
+    ASSERT_TRUE(V.After.Sps.has_value()) << C.Id;
+    EXPECT_FALSE(V.After.Sps->conclusive()) << C.Id;
+    SctReport Fresh = checkSct(V.Prog, v4Mode());
+    EXPECT_EQ(leakKeys(V.After), leakKeys(Fresh.Exploration.Leaks)) << C.Id;
+    EXPECT_EQ(V.restoredSct(), Fresh.secure()) << C.Id;
+  }
+}
+
 TEST(MitigationSession, MinimalFencePlacementBeatsBlanket) {
   // The acceptance bar: strictly fewer fences than the blanket on at
   // least half the leaky corpus, while still restoring SCT — verified
-  // through a fresh reuse-free check so the search cannot grade its own
-  // homework.
-  MitigationSession MS = makeSession(true);
+  // through a fresh check so the search cannot grade its own homework.
+  // Every candidate is an SPS proof that stops at its first
+  // counterexample, which is what admits kocher-05: the explorer runs
+  // each of its fenced candidates into the 8M-step budget.
+  MitigationSession MS = makeSession();
   unsigned Leaky = 0, StrictlyFewer = 0;
   for (const SuiteCase &C : kocherCases()) {
     if (C.ExpectSeqLeak || !C.ExpectV1V11Leak)
       continue;
     FencePlacementOptions FOpts;
     FOpts.Blanket = FencePolicy::BranchTargets;
-    // SPS-verified candidates: a conclusive proof (or first
-    // counterexample) replaces each candidate's re-exploration.  This is
-    // what admits kocher-05, where every fenced candidate used to replay
-    // an 8M-step budget-truncated tree (~1 min per check).
-    FOpts.ProveSps = true;
     FencePlacementResult R =
         MS.minimizeFencePlacement(C.Prog, v1v11Mode(), FOpts);
     ASSERT_FALSE(R.Baseline.secure()) << C.Id;
@@ -297,7 +213,7 @@ TEST(MitigationSession, MinimalFencePlacementBeatsBlanket) {
     StrictlyFewer += R.Sites.size() < R.BlanketSites;
 
     // Independent verification: rebuild the fenced program and check it
-    // from scratch, no reuse anywhere.  kocher-05's minimal-fence tree is
+    // from scratch.  kocher-05's minimal-fence tree is
     // the explorer-intractable one — there the fresh check is the other
     // oracle, a full (non-early-exit) SPS proof.
     MitigationResult MR = FenceInsertion(R.Sites).run(C.Prog);
@@ -328,7 +244,7 @@ TEST(MitigationSession, RetpolineClosesV2ThroughTheEngine) {
   // engine relocates the attacker's mistraining targets through the
   // provenance map for the re-check.
   FigureCase V2 = figure11();
-  MitigationSession MS = makeSession(true);
+  MitigationSession MS = makeSession();
   MitigationReport FenceRep =
       MS.run(V2.Prog, V2.CheckOpts,
              FenceInsertion(FencePolicy::BranchTargetsAndStores));
@@ -349,9 +265,10 @@ TEST(MitigationSession, RetpolineClosesV2ThroughTheEngine) {
 
 TEST(MitigationSession, ThreadedRunsMatchSequential) {
   // The TSan matrix drives this suite at Threads=8: the engine's
-  // exploration, reuse filter, and minimization phases share workers.
-  MitigationSession Seq = makeSession(true, 1);
-  MitigationSession Par = makeSession(true, 8);
+  // exploration (ssl3-c's v4-mode re-check falls back to it) and
+  // minimization phases share workers.
+  MitigationSession Seq = makeSession(1);
+  MitigationSession Par = makeSession(8);
   for (const SuiteCase &C : {kocherCases().front(), ssl3C()}) {
     ExplorerOptions Mode = C.Id == "ssl3-c" ? v4Mode() : v1v11Mode();
     FenceInsertion FI(FencePolicy::BranchTargets);

@@ -228,7 +228,6 @@ TEST(Serialization, OptionsRoundTripWithEveryFieldPerturbed) {
   E.StopAtFirstLeak = true;
   E.Threads = 5;
   E.PruneSeen = false;
-  E.ExportSeenStates = true;
   E.CollectStats = true;
 
   ByteWriter W;
@@ -558,7 +557,7 @@ TEST(ResultCacheTest, CorruptedAndTruncatedEntriesAreMisses) {
   EXPECT_FALSE(Bad.ok());
 }
 
-TEST(ResultCacheTest, CacheableExcludesInitAndTableHandles) {
+TEST(ResultCacheTest, CacheableExcludesCustomInit) {
   SuiteCase C = kocherCases().front();
   CheckRequest Req;
   Req.Prog = C.Prog;
@@ -568,9 +567,6 @@ TEST(ResultCacheTest, CacheableExcludesInitAndTableHandles) {
   CheckRequest WithInit = Req;
   WithInit.Init = Configuration::initial(C.Prog);
   EXPECT_FALSE(cacheable(WithInit));
-  CheckRequest WithExport = Req;
-  WithExport.Opts.ExportSeenStates = true;
-  EXPECT_FALSE(cacheable(WithExport));
 }
 
 TEST(ResultCacheTest, CheckManyWarmPassIsAllHits) {
@@ -605,10 +601,9 @@ TEST(ResultCacheTest, CheckManyWarmPassIsAllHits) {
 }
 
 TEST(ResultCacheTest, UncacheableRequestsAreComputedNotStored) {
-  // A seen-state export and a custom initial configuration make a
-  // request's outcome depend on state the key cannot see: inside a cached
-  // batch they are computed every time, never stored, and come out as an
-  // uncached session computes them.
+  // A custom initial configuration makes a request's outcome depend on
+  // state the key cannot see: inside a cached batch it is computed every
+  // time, never stored, and comes out as an uncached session computes it.
   CacheDirGuard Dir;
   std::vector<CheckRequest> Reqs;
   for (size_t I = 0; I < 4 && I < kocherCases().size(); ++I) {
@@ -619,7 +614,6 @@ TEST(ResultCacheTest, UncacheableRequestsAreComputedNotStored) {
     Reqs.push_back(std::move(Req));
   }
   ASSERT_EQ(Reqs.size(), 4u);
-  Reqs[1].Opts.ExportSeenStates = true;
   Reqs[2].Init = Configuration::initial(Reqs[2].Prog);
 
   SessionOptions Plain;
@@ -630,8 +624,8 @@ TEST(ResultCacheTest, UncacheableRequestsAreComputedNotStored) {
   SessionOptions Cached = Plain;
   Cached.CacheDir = Dir.path();
   CheckSession Session(Cached);
-  // The second batch serves the two cacheable requests from disk and
-  // computes the other two again.
+  // The second batch serves the three cacheable requests from disk and
+  // computes the other one again.
   for (int Pass = 0; Pass < 2; ++Pass) {
     std::vector<CheckResult> Got =
         Session.checkMany(std::span<const CheckRequest>(Reqs));
@@ -645,6 +639,6 @@ TEST(ResultCacheTest, UncacheableRequestsAreComputedNotStored) {
       EXPECT_EQ(serializeCheckResult(A), serializeCheckResult(B));
     }
   }
-  EXPECT_EQ(Session.cache()->stores(), 2u);
-  EXPECT_EQ(Session.cache()->hits(), 2u);
+  EXPECT_EQ(Session.cache()->stores(), 3u);
+  EXPECT_EQ(Session.cache()->hits(), 3u);
 }
