@@ -8,27 +8,20 @@
 // docs/WITNESSES.md frames as minimization's motivating case) — and
 // minimizes it under:
 //
-//   - `prior-minimizer`: the PR 3 pipeline verbatim — sequential, every
-//     candidate replayed in full from the initial configuration, no
-//     excursion slicing, no candidate memo.  The "sequential
-//     from-initial baseline".
-//   - `from-initial`: the shipped pipeline (slicing on) with the replay
-//     engine pinned from-initial (no seeding, no memo), sequential.
-//     This is the byte-identity reference: seeding, memoization, and
-//     threads are all provably output-preserving, so every row below
-//     must match it exactly.
-//   - `seeded-tN`: the full phase — rung-seeded replays, candidate
-//     memo, excursion slicing — at Threads in {1, 2, 4, 8}.
+//   - `from-initial`: `detail::minimizeWitnessFromInitial`, sequential —
+//     the same pipeline with every candidate replayed from the initial
+//     configuration, no rungs, no candidate memo.  This is the
+//     byte-identity reference: seeding, memoization, and threads are all
+//     output-preserving, so every row below must match it exactly.
+//   - `seeded-tN`: `minimizeWitnesses` — rung-seeded replays and the
+//     candidate memo — at Threads in {1, 2, 4, 8}.
 //
-// Two ratios fall out, reported per case and summarized for the deepest
-// tree: the full phase against the prior minimizer (the end-to-end
-// speedup; slicing converges to its own — equally valid, same leak key,
-// never longer — 1-minimal fixpoint, so `matches_prior` is reported but
-// not required), and the full phase against `from-initial` (byte-equal
-// outputs enforced: a mismatch fails the whole bench).  `replayed_steps`
-// counts machine steps actually executed — the honest CPU cost;
-// `seeded_steps` is what rung seeding skipped.  Wall-clock rows on
-// a single-core host show the step ratio; thread scaling needs cores.
+// The full phase's ratio against `from-initial` is reported per case and
+// summarized for the deepest tree, and byte-equal outputs are enforced:
+// a mismatch fails the whole bench.  `replayed_steps` counts machine
+// steps actually executed — the honest CPU cost; `seeded_steps` is what
+// rung seeding skipped.  Wall-clock rows on a single-core host show the
+// step ratio; thread scaling needs cores.
 //
 // Results are printed as a table and recorded to BENCH_MINIMIZER.json
 // (override with --out FILE).  `--quick` runs a reduced matrix for CI
@@ -66,11 +59,10 @@ struct RunRecord {
   std::string Config;
   unsigned Threads = 1;
   bool Seeded = false;
-  bool Sliced = false;
   double Seconds = 0;
   MinimizeStats Stats;
+  std::map<uint64_t, Schedule> MinScheds;
   bool MatchesFromInitial = true;
-  bool MatchesPrior = true;
 };
 
 /// MinSched per leak key — the identity oracle between configurations.
@@ -112,33 +104,29 @@ std::vector<LeakRecord> bloatedWitnesses(const Machine &M,
   return Out;
 }
 
+/// Minimizes fresh copies of \p RawLeaks: through the from-initial
+/// reference when \p Threads is 0, else through `minimizeWitnesses`.
 RunRecord runOne(const Machine &M, const Configuration &Init,
-                 const std::vector<LeakRecord> &RawLeaks, const char *Config,
-                 unsigned Threads, bool Seed, bool Memo, bool Slice,
-                 const std::map<uint64_t, Schedule> *RefFromInitial,
-                 const std::map<uint64_t, Schedule> *RefPrior) {
-  std::vector<LeakRecord> Leaks = RawLeaks; // Fresh copies: MinSched empty.
-  MinimizeOptions Opts;
-  Opts.Threads = Threads;
-  Opts.SeedReplays = Seed;
-  Opts.MemoizeCandidates = Memo;
-  Opts.SliceExcursions = Slice;
-  auto T0 = std::chrono::steady_clock::now();
-  MinimizeStats Stats = minimizeWitnesses(M, Init, Leaks, Opts);
-  auto T1 = std::chrono::steady_clock::now();
-
+                 const std::vector<LeakRecord> &RawLeaks, unsigned Threads) {
+  std::vector<LeakRecord> Leaks = RawLeaks; // MinSched empty.
   RunRecord Rec;
-  Rec.Config = Config;
-  Rec.Threads = Threads;
-  Rec.Seeded = Seed;
-  Rec.Sliced = Slice;
+  Rec.Seeded = Threads > 0;
+  Rec.Threads = Rec.Seeded ? Threads : 1;
+  Rec.Config = Rec.Seeded ? "seeded-t" + std::to_string(Threads)
+                          : std::string("from-initial");
+  auto T0 = std::chrono::steady_clock::now();
+  if (Rec.Seeded) {
+    MinimizeOptions Opts;
+    Opts.Threads = Threads;
+    Rec.Stats = minimizeWitnesses(M, Init, Leaks, Opts);
+  } else {
+    for (LeakRecord &L : Leaks)
+      L.MinSched =
+          detail::minimizeWitnessFromInitial(M, Init, L, {}, &Rec.Stats);
+  }
+  auto T1 = std::chrono::steady_clock::now();
   Rec.Seconds = std::chrono::duration<double>(T1 - T0).count();
-  Rec.Stats = Stats;
-  std::map<uint64_t, Schedule> Mine = minSchedByKey(Leaks);
-  if (RefFromInitial)
-    Rec.MatchesFromInitial = Mine == *RefFromInitial;
-  if (RefPrior)
-    Rec.MatchesPrior = Mine == *RefPrior;
+  Rec.MinScheds = minSchedByKey(Leaks);
   return Rec;
 }
 
@@ -146,19 +134,17 @@ void jsonRun(FILE *F, const RunRecord &R, bool Last) {
   std::fprintf(
       F,
       "      {\"config\": \"%s\", \"threads\": %u, \"seeded\": %s, "
-      "\"sliced\": %s, \"seconds\": %.6f, \"replays\": %llu, "
+      "\"seconds\": %.6f, \"replays\": %llu, "
       "\"replayed_steps\": %llu, \"seeded_steps\": %llu, "
       "\"sliced_excursions\": %llu, \"minimized_directives\": %llu, "
-      "\"matches_from_initial\": %s, \"matches_prior\": %s}%s\n",
-      R.Config.c_str(), R.Threads, R.Seeded ? "true" : "false",
-      R.Sliced ? "true" : "false", R.Seconds,
+      "\"matches_from_initial\": %s}%s\n",
+      R.Config.c_str(), R.Threads, R.Seeded ? "true" : "false", R.Seconds,
       static_cast<unsigned long long>(R.Stats.Replays),
       static_cast<unsigned long long>(R.Stats.ReplayedSteps),
       static_cast<unsigned long long>(R.Stats.SeededSteps),
       static_cast<unsigned long long>(R.Stats.SlicedExcursions),
       static_cast<unsigned long long>(R.Stats.MinimizedDirectives),
-      R.MatchesFromInitial ? "true" : "false",
-      R.MatchesPrior ? "true" : "false", Last ? "" : ",");
+      R.MatchesFromInitial ? "true" : "false", Last ? "" : ",");
 }
 
 } // namespace
@@ -216,15 +202,13 @@ int main(int Argc, char **Argv) {
       Out,
       "{\n  \"bench\": \"minimizer-scaling\",\n"
       "  \"baselines\": {\n"
-      "    \"prior-minimizer\": \"the sequential from-initial baseline: "
-      "every candidate replayed in full from the initial configuration, "
-      "no slicing, no memo (the pre-phase pipeline)\",\n"
-      "    \"from-initial\": \"the shipped pipeline with replays pinned "
-      "from-initial — the byte-identity reference for seeding, "
-      "memoization, and threads\"\n  },\n  \"cases\": [\n");
+      "    \"from-initial\": \"the shipped pipeline with every candidate "
+      "replayed from the initial configuration, no rungs, no memo — the "
+      "byte-identity reference for seeding, memoization, and threads\"\n"
+      "  },\n  \"cases\": [\n");
 
   bool AllOk = true;
-  double PhaseStepX = 0, PhaseWallX = 0, SeedStepX = 0, SeedWallX = 0;
+  double SeedStepX = 0, SeedWallX = 0;
   for (size_t CI = 0; CI < Cases.size(); ++CI) {
     const BenchCase &C = Cases[CI];
     // One deterministic exploration feeds every config: the case's mode
@@ -246,69 +230,44 @@ int main(int Argc, char **Argv) {
                 Corpus.size(), static_cast<unsigned long long>(RawTotal));
 
     std::vector<RunRecord> Runs;
-    Runs.push_back(runOne(M, Init, Corpus, "prior-minimizer", 1,
-                          /*Seed=*/false, /*Memo=*/false, /*Slice=*/false,
-                          nullptr, nullptr));
-    std::map<uint64_t, Schedule> RefPrior, RefFrom;
-    {
-      std::vector<LeakRecord> Tmp = Corpus;
-      MinimizeOptions O;
-      O.Threads = 1;
-      O.SeedReplays = false;
-      O.MemoizeCandidates = false;
-      O.SliceExcursions = false;
-      minimizeWitnesses(M, Init, Tmp, O);
-      RefPrior = minSchedByKey(Tmp);
-      Tmp = Corpus;
-      O.SliceExcursions = true;
-      minimizeWitnesses(M, Init, Tmp, O);
-      RefFrom = minSchedByKey(Tmp);
-    }
-    Runs.push_back(runOne(M, Init, Corpus, "from-initial", 1, false, false,
-                          true, &RefFrom, &RefPrior));
+    Runs.push_back(runOne(M, Init, Corpus, /*Threads=*/0));
     for (unsigned T : ThreadLadder)
-      Runs.push_back(runOne(M, Init, Corpus,
-                            ("seeded-t" + std::to_string(T)).c_str(), T,
-                            true, true, true, &RefFrom, &RefPrior));
+      Runs.push_back(runOne(M, Init, Corpus, T));
 
-    const RunRecord &Prior = Runs[0];
-    const RunRecord &From = Runs[1];
+    const RunRecord &From = Runs[0];
     std::vector<std::vector<std::string>> Table;
-    for (const RunRecord &Rec : Runs) {
+    for (RunRecord &Rec : Runs) {
+      Rec.MatchesFromInitial = Rec.MinScheds == From.MinScheds;
+      AllOk &= Rec.MatchesFromInitial;
       double StepX = Rec.Stats.ReplayedSteps
-                         ? double(Prior.Stats.ReplayedSteps) /
+                         ? double(From.Stats.ReplayedSteps) /
                                double(Rec.Stats.ReplayedSteps)
                          : 0;
-      double WallX = Rec.Seconds ? Prior.Seconds / Rec.Seconds : 0;
+      double WallX = Rec.Seconds ? From.Seconds / Rec.Seconds : 0;
       Table.push_back({Rec.Config, std::to_string(Rec.Threads),
                        std::to_string(Rec.Seconds).substr(0, 6),
                        std::to_string(Rec.Stats.Replays),
                        std::to_string(Rec.Stats.ReplayedSteps),
+                       std::to_string(Rec.Stats.MinimizedDirectives),
                        std::to_string(StepX).substr(0, 4) + "x",
                        std::to_string(WallX).substr(0, 4) + "x",
                        Rec.MatchesFromInitial ? "ok" : "MISMATCH"});
-      AllOk &= Rec.MatchesFromInitial;
     }
     std::printf("%s\n",
                 renderTable({"config", "threads", "seconds", "replays",
-                             "replayed steps", "steps vs prior",
-                             "wall vs prior", "vs from-initial"},
+                             "replayed steps", "minimized", "steps vs from",
+                             "wall vs from", "vs from-initial"},
                             Table)
                     .c_str());
 
     // The summary ratios are read on the deepest tree in the matrix.
     if (CI + 1 == Cases.size()) {
       const RunRecord &Full = Runs.back();
-      if (Full.Stats.ReplayedSteps) {
-        PhaseStepX = double(Prior.Stats.ReplayedSteps) /
-                     double(Full.Stats.ReplayedSteps);
+      if (Full.Stats.ReplayedSteps)
         SeedStepX = double(From.Stats.ReplayedSteps) /
                     double(Full.Stats.ReplayedSteps);
-      }
-      if (Full.Seconds) {
-        PhaseWallX = Prior.Seconds / Full.Seconds;
+      if (Full.Seconds)
         SeedWallX = From.Seconds / Full.Seconds;
-      }
     }
 
     std::fprintf(Out,
@@ -324,14 +283,12 @@ int main(int Argc, char **Argv) {
   std::fprintf(
       Out,
       "  ],\n  \"deep_tree_summary\": {\n"
-      "    \"full_phase_vs_prior_minimizer\": {\"replay_steps\": %.2f, "
-      "\"wall_clock\": %.2f},\n"
       "    \"full_phase_vs_from_initial\": {\"replay_steps\": %.2f, "
       "\"wall_clock\": %.2f},\n"
       "    \"note\": \"threads shorten wall-clock only up to the "
       "host's core count\"\n  },\n"
       "  \"all_min_scheds_match_from_initial\": %s\n}\n",
-      PhaseStepX, PhaseWallX, SeedStepX, SeedWallX, AllOk ? "true" : "false");
+      SeedStepX, SeedWallX, AllOk ? "true" : "false");
   std::fclose(Out);
   std::printf("recorded %s\n", OutPath);
   if (!AllOk) {

@@ -264,28 +264,12 @@ bool readLeakRecord(ByteReader &R, LeakRecord &L) {
 
 void writeMinimizeOptions(ByteWriter &W, const MinimizeOptions &O) {
   W.u64(O.MaxReplays);
-  W.b(O.Canonicalize);
-  W.b(O.SliceExcursions);
-  W.b(O.SlicePolish);
-  W.b(O.SeedReplays);
-  W.b(O.SuffixConverge);
-  W.b(O.MemoizeCandidates);
-  W.u32(O.SeedInterval);
   W.u32(O.Threads);
-  W.u32(O.MaxPasses);
 }
 
 bool readMinimizeOptions(ByteReader &R, MinimizeOptions &O) {
   O.MaxReplays = R.u64();
-  O.Canonicalize = R.b();
-  O.SliceExcursions = R.b();
-  O.SlicePolish = R.b();
-  O.SeedReplays = R.b();
-  O.SuffixConverge = R.b();
-  O.MemoizeCandidates = R.b();
-  O.SeedInterval = R.u32();
   O.Threads = R.u32();
-  O.MaxPasses = R.u32();
   return R.ok();
 }
 
@@ -315,8 +299,6 @@ void writeMinimizeStats(ByteWriter &W, const MinimizeStats &S) {
   W.u64(S.ReplayedSteps);
   W.u64(S.SeededSteps);
   W.u64(S.SlicedExcursions);
-  W.u64(S.SuffixConvergences);
-  W.u64(S.SuffixSkippedSteps);
   W.b(S.BudgetExhausted);
 }
 
@@ -327,8 +309,6 @@ bool readMinimizeStats(ByteReader &R, MinimizeStats &S) {
   S.ReplayedSteps = R.u64();
   S.SeededSteps = R.u64();
   S.SlicedExcursions = R.u64();
-  S.SuffixConvergences = R.u64();
-  S.SuffixSkippedSteps = R.u64();
   S.BudgetExhausted = R.b();
   return R.ok();
 }

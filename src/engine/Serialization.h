@@ -39,7 +39,7 @@
 namespace sct {
 
 /// Bump on any cache format change.
-inline constexpr uint32_t SerializationFormatVersion = 4;
+inline constexpr uint32_t SerializationFormatVersion = 5;
 
 /// Field-level writers/readers (no version header; compose into the
 /// top-level payloads below).  Readers return false / disengaged on

@@ -55,30 +55,15 @@ constexpr SessionFlag Flags[] = {
      }},
     {"--minimize-budget", "N", "replays spent minimizing each witness",
      [](SessionOptions &O, const char *V) {
-       O.Passes.Minimize.MaxReplays = asU64(V);
+       // 0 would leave every witness unminimized; at least the seeding
+       // replay must fit.
+       O.Passes.Minimize.MaxReplays =
+           parseInteger(V, 1, std::numeric_limits<uint64_t>::max());
      }},
     {"--minimize-threads", "N",
      "minimization worker threads (0 = the check's frontier share)",
      [](SessionOptions &O, const char *V) {
        O.Passes.Minimize.Threads = asWorkers(V);
-     }},
-    {"--no-slice-excursions", nullptr, "disable the excursion slice pass",
-     [](SessionOptions &O, const char *) {
-       O.Passes.Minimize.SliceExcursions = false;
-     }},
-    {"--no-slice-polish", nullptr, "disable the slice-polish basin hop",
-     [](SessionOptions &O, const char *) {
-       O.Passes.Minimize.SlicePolish = false;
-     }},
-    {"--no-seed-replays", nullptr,
-     "replay every candidate from the initial configuration",
-     [](SessionOptions &O, const char *) {
-       O.Passes.Minimize.SeedReplays = false;
-     }},
-    {"--no-suffix-converge", nullptr,
-     "disable suffix-convergence rejoins in minimization",
-     [](SessionOptions &O, const char *) {
-       O.Passes.Minimize.SuffixConverge = false;
      }},
     {"--prove-sps", nullptr,
      "try the SPS proof backend first; conclusive verdicts skip exploring",

@@ -7,7 +7,8 @@
 // adopted schedule is always the replayed-and-truncated one — so whatever
 // the heuristics propose, the result is a valid witness by construction.
 // Seeding only changes where a replay starts (a recorded state of the
-// candidate's unedited prefix), never what it concludes.
+// candidate's unedited prefix), never what it concludes; the failure memo
+// only skips replays whose verdict is already known.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,11 +26,22 @@ using namespace sct;
 
 namespace {
 
+/// A ladder rung is recorded every this many kept directives while a
+/// candidate's unedited prefix replays (the committed BENCH_MINIMIZER.json
+/// sweep picked it).
+constexpr size_t RungInterval = 4;
+/// Upper bound on fixpoint iterations: each pass is a no-op once the
+/// schedule is stable, so this is a safety rail, not a tuning knob.
+constexpr unsigned MaxPasses = 8;
+
 class Minimizer {
 public:
+  /// \p FromInitial replays every candidate from \p Init, with no rungs
+  /// and no failure memo — the reference the optimized replays must match.
   Minimizer(const Machine &M, const Configuration &Init, uint64_t TargetKey,
-            const MinimizeOptions &Opts)
-      : M(M), Init(Init), TargetKey(TargetKey), Opts(Opts) {}
+            uint64_t MaxReplays, bool FromInitial)
+      : M(M), Init(Init), TargetKey(TargetKey), MaxReplays(MaxReplays),
+        FromInitial(FromInitial) {}
 
   Schedule run(const LeakRecord &L, MinimizeStats &Stats) {
     const Schedule &Raw = L.Sched;
@@ -42,19 +54,9 @@ public:
     bool Seeded = evaluate(Raw, Kept, KA);
     if (Seeded) {
       adopt(std::move(Kept), std::move(KA));
-      for (unsigned Outer = 0; Outer < Opts.MaxPasses; ++Outer) {
-        for (unsigned Pass = 0; Pass < Opts.MaxPasses && !Exhausted;
-             ++Pass) {
-          Schedule Before = Cur;
-          if (Opts.SliceExcursions)
-            slice();
-          ddmin();
-          if (Opts.Canonicalize && !Exhausted)
-            canonicalize();
-          if (Cur == Before)
-            break; // Fixpoint: another pass would change nothing.
-        }
-        if (!Opts.SliceExcursions || !Opts.SlicePolish || Exhausted)
+      for (unsigned Outer = 0; Outer < MaxPasses; ++Outer) {
+        fixpoint(/*Slice=*/true);
+        if (Exhausted)
           break;
         // The polish round hops to the no-slice basin when that is
         // strictly shorter; a successful hop strictly shrinks Cur and
@@ -67,14 +69,14 @@ public:
         if (Cur == BeforePolish)
           break;
       }
-      Stats.MinimizedDirectives += Cur.size();
     }
+    // A witness left unminimized (no budget for even the seeding replay)
+    // counts at its raw length, not as zero directives.
+    Stats.MinimizedDirectives += Seeded ? Cur.size() : Raw.size();
     Stats.Replays += Replays;
     Stats.ReplayedSteps += ReplayedSteps;
     Stats.SeededSteps += SeededSteps;
     Stats.SlicedExcursions += SlicedExcursions;
-    Stats.SuffixConvergences += SuffixConv;
-    Stats.SuffixSkippedSteps += SuffixSkip;
     Stats.BudgetExhausted |= Exhausted;
     return Seeded ? Cur : Schedule{};
   }
@@ -103,26 +105,17 @@ private:
   const Machine &M;
   const Configuration &Init;
   const uint64_t TargetKey;
-  const MinimizeOptions &Opts;
+  const uint64_t MaxReplays;
+  const bool FromInitial;
   uint64_t Replays = 0;
   uint64_t ReplayedSteps = 0;
   uint64_t SeededSteps = 0;
   uint64_t SlicedExcursions = 0;
-  uint64_t SuffixConv = 0;
-  uint64_t SuffixSkip = 0;
   bool Exhausted = false;
 
   /// Current best witness and its per-position allocation record.
   Schedule Cur;
   std::vector<AllocInfo> CurAlloc;
-  /// CurPosHash[p] is the state fingerprint after Cur[0, p) — recorded by
-  /// the replay that produced Cur (incremental hash, O(1) per step) and
-  /// probed by later candidates for suffix-convergence rejoins.  Size
-  /// Cur.size() + 1; CurPosHash[0] is the initial state's hash.
-  std::vector<uint64_t> CurPosHash;
-  /// evaluate()'s per-position hashes for the candidate it just accepted;
-  /// adopt() promotes it to CurPosHash.
-  std::vector<uint64_t> EvalHash;
   /// Recorded states along Cur's prefix, keyed by prefix length.  Invariant:
   /// every rung's state is what Cur[0, Len) strictly replays to — rungs
   /// above an adopted candidate's first edit are erased, and new rungs
@@ -168,7 +161,6 @@ private:
   void adopt(Schedule &&Kept, std::vector<AllocInfo> &&KA) {
     Cur = std::move(Kept);
     CurAlloc = std::move(KA);
-    CurPosHash = std::move(EvalHash);
     Rungs.erase(Rungs.upper_bound(LastEdit), Rungs.end());
   }
 
@@ -191,7 +183,7 @@ private:
   /// is bit-for-bit the same; only the executed step count differs.
   bool evaluate(const Schedule &Cand, Schedule &Kept,
                 std::vector<AllocInfo> &KeptAlloc) {
-    if (Exhausted || Replays >= Opts.MaxReplays) {
+    if (Exhausted || Replays >= MaxReplays) {
       Exhausted = true;
       return false;
     }
@@ -201,7 +193,7 @@ private:
     // budget exhaustion fires at exactly the same candidate with the memo
     // on or off and the search stays bit-for-bit reproducible.
     std::vector<uint64_t> Packed;
-    if (Opts.MemoizeCandidates) {
+    if (!FromInitial) {
       Packed = packSchedule(Cand);
       if (FailedCands.count(Packed))
         return false;
@@ -218,7 +210,7 @@ private:
     LastEdit = FirstEdit;
     size_t SeedLen = 0;
     const Configuration *Seed = nullptr;
-    if (Opts.SeedReplays && FirstEdit > 0 && !Rungs.empty()) {
+    if (FirstEdit > 0 && !Rungs.empty()) {
       auto It = Rungs.upper_bound(FirstEdit);
       if (It != Rungs.begin()) {
         --It;
@@ -229,35 +221,22 @@ private:
     Configuration C = Seed ? *Seed : Init; // COW: cheap until a write.
     Kept.assign(Cur.begin(), Cur.begin() + SeedLen);
     KeptAlloc.assign(CurAlloc.begin(), CurAlloc.begin() + SeedLen);
-    if (SeedLen)
-      EvalHash.assign(CurPosHash.begin(), CurPosHash.begin() + SeedLen + 1);
-    else
-      EvalHash.assign(1, C.hash());
     SeededSteps += SeedLen;
-    // Longest common *suffix* of candidate and current witness, so the
-    // rejoin probe below is one comparison per step instead of a tail
-    // scan.
-    size_t CommonSuffix = 0;
-    if (Opts.SuffixConverge)
-      while (CommonSuffix < Cand.size() && CommonSuffix < Cur.size() &&
-             Cand[Cand.size() - 1 - CommonSuffix] ==
-                 Cur[Cur.size() - 1 - CommonSuffix])
-        ++CommonSuffix;
-    size_t K = Opts.SeedInterval ? Opts.SeedInterval : 1;
-    size_t NextRung = SeedLen + K;
+    size_t NextRung = SeedLen + RungInterval;
     for (size_t Pos = SeedLen; Pos < Cand.size(); ++Pos) {
       const Directive &D = Cand[Pos];
       // Densify the ladder while the unedited prefix replays: here the
       // state is exactly what Cur[0, Kept.size()) reaches, valid as a
       // rung no matter how this candidate ends.  (During the seeding
       // replay FirstEdit covers the whole schedule, so the ladder spans
-      // the adopted witness end to end.)
-      if (Opts.SeedReplays && Kept.size() >= NextRung &&
+      // the adopted witness end to end.)  The from-initial reference
+      // records none, so every replay starts at Init.
+      if (!FromInitial && Kept.size() >= NextRung &&
           Kept.size() <= FirstEdit && Pos == Kept.size()) {
         if (!Rungs.count(Kept.size()))
           Rungs.emplace(Kept.size(),
                         std::make_shared<const Configuration>(C));
-        NextRung = Kept.size() + K;
+        NextRung = Kept.size() + RungInterval;
       }
       AllocInfo A;
       if (D.isFetch())
@@ -275,46 +254,31 @@ private:
       A.PostN = C.N;
       Kept.push_back(D);
       KeptAlloc.push_back(A);
-      EvalHash.push_back(C.hash());
       if (Out->Obs.isSecret()) {
         LeakRecord Probe{Schedule{}, Out->Obs, Origin, Out->Rule};
         if (Probe.key() == TargetKey)
           return true; // Truncated at the (re-)found leak.
       }
-      // Suffix-convergence rejoin: the state just reached fingerprints
-      // equal to the current witness's state at position P, and the
-      // candidate's remaining directives are byte-identical to Cur[P..]
-      // (so P is forced: remaining length pins it).  Cur proved that
-      // suffix replays strictly from that state to the target leak, so
-      // adopt it unexecuted.  Requires at least one remaining directive —
-      // the leaking step itself must come from the proven suffix, not
-      // from a state match alone — and only fires at or past the first
-      // edit: before it the candidate IS Cur, and stopping on a
-      // stream-revisited state there would adopt a shrink the full
-      // replay would not produce (rejoins must change cost, never
-      // results).
-      if (CommonSuffix > 0 && Pos >= FirstEdit) {
-        size_t RemLen = Cand.size() - Pos - 1;
-        if (RemLen >= 1 && RemLen <= CommonSuffix && RemLen < Cur.size()) {
-          size_t P = Cur.size() - RemLen;
-          if (CurPosHash[P] == EvalHash.back()) {
-            Kept.insert(Kept.end(), Cur.begin() + P, Cur.end());
-            KeptAlloc.insert(KeptAlloc.end(), CurAlloc.begin() + P,
-                             CurAlloc.end());
-            EvalHash.insert(EvalHash.end(), CurPosHash.begin() + P + 1,
-                            CurPosHash.end());
-            ++SuffixConv;
-            SuffixSkip += RemLen;
-            return true;
-          }
-        }
-      }
     }
-    if (Opts.MemoizeCandidates)
+    if (!FromInitial)
       FailedCands.insert(std::move(Packed));
     return false;
   }
 
+  /// Runs the passes — the slice pass first when \p Slice — until one
+  /// round changes nothing, the budget runs out, or MaxPasses rounds ran.
+  void fixpoint(bool Slice) {
+    for (unsigned Pass = 0; Pass < MaxPasses && !Exhausted; ++Pass) {
+      Schedule Before = Cur;
+      if (Slice)
+        slice();
+      ddmin();
+      if (!Exhausted)
+        canonicalize();
+      if (Cur == Before)
+        break; // Fixpoint: another pass would change nothing.
+    }
+  }
 
   /// Builds the candidate that deletes the marked positions of Cur,
   /// repairing the survivors: executes naming an entry a deleted fetch
@@ -450,7 +414,6 @@ private:
   void polish() {
     Schedule Saved = Cur;
     std::vector<AllocInfo> SavedAlloc = CurAlloc;
-    std::vector<uint64_t> SavedPosHash = CurPosHash;
     Ladder SavedRungs = Rungs;
 
     bool Improved = false;
@@ -466,29 +429,20 @@ private:
       if (!evaluate(Cand, Kept, KA) || Kept.size() > Cur.size())
         continue;
       adopt(std::move(Kept), std::move(KA));
-      for (unsigned Pass = 0; Pass < Opts.MaxPasses && !Exhausted; ++Pass) {
-        Schedule Before = Cur;
-        ddmin();
-        if (Opts.Canonicalize && !Exhausted)
-          canonicalize();
-        if (Cur == Before)
-          break;
-      }
+      fixpoint(/*Slice=*/false);
       if (Cur.size() < Saved.size()) {
         Improved = true;
         break; // Strictly better basin found; keep it.
       }
-      // No win: restore the fixpoint result exactly (rungs and position
-      // hashes included — their invariants are tied to Cur's prefix).
+      // No win: restore the fixpoint result exactly (rungs included —
+      // their invariant is tied to Cur's prefix).
       Cur = Saved;
       CurAlloc = SavedAlloc;
-      CurPosHash = SavedPosHash;
       Rungs = SavedRungs;
     }
     if (!Improved && (Cur != Saved)) {
       Cur = Saved;
       CurAlloc = SavedAlloc;
-      CurPosHash = std::move(SavedPosHash);
       Rungs = std::move(SavedRungs);
     }
   }
@@ -583,13 +537,28 @@ private:
 
 } // namespace
 
+namespace {
+Schedule minimizeOne(const Machine &M, const Configuration &Init,
+                     const LeakRecord &L, const MinimizeOptions &Opts,
+                     MinimizeStats *Stats, bool FromInitial) {
+  MinimizeStats Local;
+  Minimizer Min(M, Init, L.key(), Opts.MaxReplays, FromInitial);
+  return Min.run(L, Stats ? *Stats : Local);
+}
+} // namespace
+
 Schedule sct::minimizeWitness(const Machine &M, const Configuration &Init,
                               const LeakRecord &L, const MinimizeOptions &Opts,
                               MinimizeStats *Stats) {
-  MinimizeStats Local;
-  Minimizer Min(M, Init, L.key(), Opts);
-  Schedule S = Min.run(L, Stats ? *Stats : Local);
-  return S;
+  return minimizeOne(M, Init, L, Opts, Stats, /*FromInitial=*/false);
+}
+
+Schedule sct::detail::minimizeWitnessFromInitial(const Machine &M,
+                                                 const Configuration &Init,
+                                                 const LeakRecord &L,
+                                                 const MinimizeOptions &Opts,
+                                                 MinimizeStats *Stats) {
+  return minimizeOne(M, Init, L, Opts, Stats, /*FromInitial=*/true);
 }
 
 MinimizeStats sct::minimizeWitnesses(const Machine &M,

@@ -60,8 +60,8 @@
 /// schedule only from its first edited position onward, so the replay
 /// needs the state *at* that position, not a walk from the initial
 /// configuration.  The minimizer keeps a ladder of mid-schedule states —
-/// rungs recorded every `MinimizeOptions::SeedInterval` kept directives
-/// while prefixes replay — and starts each candidate replay
+/// rungs recorded every four kept directives while prefixes replay — and
+/// starts each candidate replay
 /// from the newest rung at or below the candidate's first edit (the
 /// prefix-validity bar: a rung is only used when the candidate has not
 /// edited any directive at or before it; rungs above an adopted edit are
@@ -69,20 +69,17 @@
 /// outcome: the skipped prefix is byte-identical to the current
 /// schedule's, which is known to replay strictly with its only
 /// target-key observation at its final step.  `MinimizeStats` reports
-/// the steps executed and the steps seeding skipped.
+/// the steps executed and the steps seeding skipped.  A memo of failed
+/// candidates (exact directive sequences) skips the replays the fixpoint
+/// loop re-proposes; a hit still counts against the budget, so the
+/// search visits the same candidates either way.
 ///
-/// **Suffix convergence.**  Seeding removes the *prefix* a candidate
-/// shares with the current witness; the mirror-image optimization removes
-/// the shared *suffix*.  Every successful replay records the incremental
-/// state fingerprint after each kept directive, so the adopted witness
-/// carries a per-position hash stream.  When a later candidate's replay
-/// reaches a state whose fingerprint matches position p of that stream
-/// and the candidate's remaining directives equal the witness's remaining
-/// suffix `Cur[p..]`, the replay stops: the witness already proved that
-/// suffix replays strictly from that state to the target leak, so the
-/// candidate adopts `applied-prefix + Cur[p..]` unexecuted (see
-/// `MinimizeOptions::SuffixConverge` for the fingerprint caveat and
-/// `MinimizeStats::SuffixSkippedSteps` for the win).
+/// The pipeline is fixed: slicing, ddmin, canonicalization, the
+/// slice-polish round, rung seeding and the memo always run, and only
+/// the replay budget and the worker count are options.
+/// `detail::minimizeWitnessFromInitial` replays every candidate from the
+/// initial configuration with no rungs and no memo; tests and
+/// bench/MinimizerBench use it as the byte-identity reference.
 ///
 /// Every candidate costs one replay of at most |schedule| machine steps;
 /// `MinimizeOptions::MaxReplays` bounds the total per witness.  When the
@@ -118,66 +115,11 @@ struct MinimizeOptions {
   /// the worst case; the default comfortably minimizes every witness in
   /// the repo's suites.
   uint64_t MaxReplays = 1 << 14;
-  /// Run the per-directive canonicalization pass after ddmin.
-  bool Canonicalize = true;
-  /// Run the excursion slice pass before each ddmin pass.
-  bool SliceExcursions = true;
-  /// After the slice+ddmin+canonicalize fixpoint, run a polish round that
-  /// hops basins: each surviving branch guess is flipped at *equal*
-  /// length (the fixpoint's guess-flips only ever adopt strict shrinks)
-  /// and the no-slice passes rerun from there; the polished schedule is
-  /// kept only if strictly shorter, else the fixpoint result is restored
-  /// byte-for-byte.  Closes the ±2-directive gap the slice pass's own
-  /// 1-minimal fixpoint can leave against the no-slice optimum on some
-  /// bloated witnesses (same leak key; never longer; idempotence
-  /// preserved by the restore).
-  bool SlicePolish = true;
-  /// Seed candidate replays from mid-schedule rungs the minimizer records
-  /// along its own replays instead of always replaying from the initial
-  /// configuration.  Off
-  /// reproduces the from-initial replay cost exactly; the minimized
-  /// schedules are identical either way.
-  bool SeedReplays = true;
-  /// Early-accept a candidate replay as soon as its state *rejoins* the
-  /// adopted witness's state stream — fingerprint equality against the
-  /// per-position hashes recorded along the current witness — at a
-  /// position whose remaining directives are byte-identical to the
-  /// candidate's remaining suffix.  The rest of the replay is then known:
-  /// the adopted witness already proved that exact suffix replays
-  /// strictly from that exact state to the leak, so the candidate adopts
-  /// `applied-prefix + witness-suffix` without executing the suffix
-  /// again.  ddmin and canonicalize candidates edit a few positions and
-  /// keep long common tails, so most of their replay cost is this
-  /// re-execution; the rejoin check makes it O(1) per step (the
-  /// fingerprints are the engine's incremental hashes).  A hit still
-  /// counts one replay against MaxReplays and the minimized schedules
-  /// are byte-identical either way — only executed steps drop
-  /// (MinimizeStats::SuffixSkippedSteps).  Validity of a hit rests on
-  /// 64-bit fingerprint equality, the same avalanched-hash caveat as the
-  /// explorer's seen-state pruning; off restores the pure strict-replay
-  /// oracle.
-  bool SuffixConverge = true;
-  /// Remember failed candidates (exact directive sequences) and skip
-  /// their replays when the fixpoint loop re-proposes them — the
-  /// verification pass and canonicalize retries are then nearly free.
-  /// A memo hit still counts against MaxReplays, so the search visits
-  /// the same candidates in the same order with the memo on or off and
-  /// the minimized schedules are identical either way.
-  bool MemoizeCandidates = true;
-  /// Record a ladder rung every this many kept directives while a
-  /// candidate's unedited prefix replays (0 is treated as 1).  Smaller =
-  /// denser seeding, more state copies; the default follows the
-  /// committed BENCH_MINIMIZER.json sweep.
-  unsigned SeedInterval = 4;
   /// Worker threads for `minimizeWitnesses` batches: 0 or 1 minimizes
   /// leaks sequentially in order; N > 1 drains per-leak jobs from
   /// work-stealing deques.  0 additionally means "unset" to CheckSession,
   /// which substitutes the session's frontier thread share.
   unsigned Threads = 0;
-  /// Upper bound on slice+ddmin+canonicalization fixpoint iterations
-  /// (each pass is a no-op once the schedule is stable; this is a safety
-  /// rail, not a tuning knob).
-  unsigned MaxPasses = 8;
 };
 
 /// What one (or an aggregated batch of) minimization(s) did.
@@ -195,11 +137,6 @@ struct MinimizeStats {
   uint64_t SeededSteps = 0;
   /// Wrong-path excursions removed by the slice pass.
   uint64_t SlicedExcursions = 0;
-  /// Candidate replays early-accepted by a suffix-convergence rejoin
-  /// (MinimizeOptions::SuffixConverge).
-  uint64_t SuffixConvergences = 0;
-  /// Directives those rejoins skipped instead of re-executing.
-  uint64_t SuffixSkippedSteps = 0;
   /// True iff some witness hit MaxReplays before reaching a fixpoint (its
   /// minimized schedule is valid but possibly not 1-minimal).
   bool BudgetExhausted = false;
@@ -213,8 +150,6 @@ struct MinimizeStats {
     ReplayedSteps += Other.ReplayedSteps;
     SeededSteps += Other.SeededSteps;
     SlicedExcursions += Other.SlicedExcursions;
-    SuffixConvergences += Other.SuffixConvergences;
-    SuffixSkippedSteps += Other.SuffixSkippedSteps;
     BudgetExhausted |= Other.BudgetExhausted;
   }
 };
@@ -223,8 +158,10 @@ struct MinimizeStats {
 /// a schedule that strictly replays to an observation with the identical
 /// `LeakRecord::key()`; empty only if even the raw schedule fails to
 /// reproduce (never the case for explorer-produced witnesses) or the
-/// budget is exhausted before the first replay.  \p Stats, when non-null,
-/// accumulates (does not reset) counters so batch callers can aggregate.
+/// budget is exhausted before the first replay — such a witness counts
+/// at its raw length in `MinimizeStats::MinimizedDirectives`.  \p Stats,
+/// when non-null, accumulates (does not reset) counters so batch callers
+/// can aggregate.
 Schedule minimizeWitness(const Machine &M, const Configuration &Init,
                          const LeakRecord &L,
                          const MinimizeOptions &Opts = {},
@@ -238,6 +175,18 @@ Schedule minimizeWitness(const Machine &M, const Configuration &Init,
 MinimizeStats minimizeWitnesses(const Machine &M, const Configuration &Init,
                                 std::vector<LeakRecord> &Leaks,
                                 const MinimizeOptions &Opts = {});
+
+namespace detail {
+/// The identity reference for tests and benches: `minimizeWitness` with
+/// every candidate replayed from the initial configuration, no rungs and
+/// no failure memo.  Returns the same schedule and the same `Replays`;
+/// only the executed steps differ.  `Opts.Threads` is ignored.
+Schedule minimizeWitnessFromInitial(const Machine &M,
+                                    const Configuration &Init,
+                                    const LeakRecord &L,
+                                    const MinimizeOptions &Opts = {},
+                                    MinimizeStats *Stats = nullptr);
+} // namespace detail
 
 } // namespace sct
 

@@ -265,7 +265,6 @@ TEST(Serialization, OptionsRoundTripWithEveryFieldPerturbed) {
   PassConfig P;
   P.MinimizeWitnesses = true;
   P.Minimize.MaxReplays = 42;
-  P.Minimize.SliceExcursions = false;
   P.Minimize.Threads = 3;
   P.ProveSps = true;
   P.Sps.MaxTapes = 17;
@@ -278,7 +277,7 @@ TEST(Serialization, OptionsRoundTripWithEveryFieldPerturbed) {
   ASSERT_TRUE(RP.done());
   EXPECT_TRUE(P2.MinimizeWitnesses);
   EXPECT_EQ(P2.Minimize.MaxReplays, 42u);
-  EXPECT_FALSE(P2.Minimize.SliceExcursions);
+  EXPECT_EQ(P2.Minimize.Threads, 3u);
   EXPECT_TRUE(P2.ProveSps);
   EXPECT_EQ(P2.Sps.MaxTapes, 17u);
   EXPECT_TRUE(P2.Sps.DepthToWindow);
