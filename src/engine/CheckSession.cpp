@@ -4,11 +4,45 @@
 
 #include "engine/ResultCache.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
 
 using namespace sct;
+
+namespace {
+
+/// Runs \p Work(I) for every I below \p Count on min(\p Workers, Count)
+/// threads that pull indices from a shared counter; inline when that is
+/// one thread.
+template <typename Fn>
+void forEachIndex(size_t Count, unsigned Workers, const Fn &Work) {
+  unsigned PoolSize =
+      static_cast<unsigned>(std::min<size_t>(Workers, Count));
+  if (PoolSize <= 1) {
+    for (size_t I = 0; I < Count; ++I)
+      Work(I);
+    return;
+  }
+  std::atomic<size_t> Next{0};
+  auto Drain = [&] {
+    for (;;) {
+      size_t I = Next.fetch_add(1, std::memory_order_relaxed);
+      if (I >= Count)
+        return;
+      Work(I);
+    }
+  };
+  std::vector<std::thread> Pool;
+  Pool.reserve(PoolSize);
+  for (unsigned W = 0; W < PoolSize; ++W)
+    Pool.emplace_back(Drain);
+  for (std::thread &T : Pool)
+    T.join();
+}
+
+} // namespace
 
 CheckSession::CheckSession(SessionOptions SOpts) : Opts(std::move(SOpts)) {
   if (this->Opts.Threads == 0)
@@ -116,58 +150,36 @@ CheckSession::checkMany(std::span<const CheckRequest> Reqs) const {
   if (Reqs.empty())
     return Results;
 
-  // Cache pass first: an unchanged corpus audit is pure lookups.
-  std::vector<size_t> Pending;
-  Pending.reserve(Reqs.size());
-  for (size_t I = 0; I < Reqs.size(); ++I) {
-    if (Cache) {
+  // Cache pass first, on the pool: an unchanged corpus audit is pure
+  // lookups.  A hit is marked by its FromCache.
+  if (Cache)
+    forEachIndex(Reqs.size(), Opts.Threads, [&](size_t I) {
       if (std::optional<CheckResult> Hit =
               Cache->lookupResult(Reqs[I], Reqs[I].resolved(Opts))) {
         Hit->Id = Reqs[I].Id;
         Hit->FromCache = true;
         Results[I] = std::move(*Hit);
-        continue;
       }
-    }
-    Pending.push_back(I);
-  }
+    });
+  std::vector<size_t> Pending;
+  Pending.reserve(Reqs.size());
+  for (size_t I = 0; I < Reqs.size(); ++I)
+    if (!Results[I].FromCache)
+      Pending.push_back(I);
   if (Pending.empty())
     return Results;
-
-  auto ComputeAndStore = [&](size_t I, unsigned FrontierThreads) {
-    Results[I] = runOne(Reqs[I], FrontierThreads);
-    if (Cache)
-      Cache->storeResult(Reqs[I], Reqs[I].resolved(Opts), Results[I]);
-  };
 
   // Split the budget: program-level fan-out first, leftover threads go to
   // each program's frontier.
   unsigned PoolSize =
       static_cast<unsigned>(std::min<size_t>(Opts.Threads, Pending.size()));
-  if (PoolSize <= 1) {
-    for (size_t I : Pending)
-      ComputeAndStore(I, Opts.Threads);
-    return Results;
-  }
-  unsigned PerProgram = Opts.Threads / PoolSize;
-  if (PerProgram == 0)
-    PerProgram = 1;
-
-  std::atomic<size_t> NextReq{0};
-  auto Drain = [&] {
-    for (;;) {
-      size_t N = NextReq.fetch_add(1, std::memory_order_relaxed);
-      if (N >= Pending.size())
-        return;
-      ComputeAndStore(Pending[N], PerProgram);
-    }
-  };
-  std::vector<std::thread> Pool;
-  Pool.reserve(PoolSize);
-  for (unsigned W = 0; W < PoolSize; ++W)
-    Pool.emplace_back(Drain);
-  for (std::thread &T : Pool)
-    T.join();
+  unsigned PerProgram = std::max(1u, Opts.Threads / PoolSize);
+  forEachIndex(Pending.size(), Opts.Threads, [&](size_t N) {
+    size_t I = Pending[N];
+    Results[I] = runOne(Reqs[I], PerProgram);
+    if (Cache)
+      Cache->storeResult(Reqs[I], Reqs[I].resolved(Opts), Results[I]);
+  });
   return Results;
 }
 

@@ -203,9 +203,10 @@ public:
   CheckResult check(const Program &P) const;
   CheckResult check(const Program &P, const ExplorerOptions &EOpts) const;
 
-  /// Batch entry point: cache lookups first, then the misses fan out over
-  /// the session's thread pool.  Results are returned in request order
-  /// regardless of which worker finished first.
+  /// Batch entry point: cache lookups first, spread over the session's
+  /// threads, then the misses fan out over the session's thread pool.
+  /// Results are returned in request order regardless of which worker
+  /// finished first.
   std::vector<CheckResult> checkMany(std::span<const CheckRequest> Reqs) const;
 
   /// Batch convenience: checks each program under the session defaults.

@@ -4,9 +4,12 @@
 
 #include "engine/Serialization.h"
 
+#include <cerrno>
 #include <cstdio>
+#include <fcntl.h>
 #include <filesystem>
 #include <fstream>
+#include <sys/stat.h>
 #include <system_error>
 #include <unistd.h>
 
@@ -22,6 +25,31 @@ std::string hex16(uint64_t V) {
   std::snprintf(Buf, sizeof(Buf), "%016llx",
                 static_cast<unsigned long long>(V));
   return Buf;
+}
+
+/// Reads all of \p Path into \p Out with one read sized by fstat (an
+/// entry is renamed into place whole, so its size is final); false when
+/// the file cannot be opened or comes up short.
+bool readFile(const std::string &Path, std::vector<uint8_t> &Out) {
+  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
+    return false;
+  struct stat St {};
+  bool Ok = ::fstat(Fd, &St) == 0;
+  if (Ok) {
+    Out.resize(static_cast<size_t>(St.st_size));
+    size_t Done = 0;
+    while (Ok && Done < Out.size()) {
+      ssize_t N = ::read(Fd, Out.data() + Done, Out.size() - Done);
+      if (N < 0 && errno == EINTR)
+        continue;
+      Ok = N > 0;
+      if (Ok)
+        Done += static_cast<size_t>(N);
+    }
+  }
+  ::close(Fd);
+  return Ok;
 }
 
 } // namespace
@@ -57,12 +85,8 @@ std::optional<CheckResult> ResultCache::lookup(const Key &K) const {
     return std::nullopt;
   };
 
-  std::ifstream In(entryPath(K), std::ios::binary);
-  if (!In)
-    return Miss();
-  std::vector<uint8_t> Bytes((std::istreambuf_iterator<char>(In)),
-                             std::istreambuf_iterator<char>());
-  if (!In.good() && !In.eof())
+  std::vector<uint8_t> Bytes;
+  if (!readFile(entryPath(K), Bytes))
     return Miss();
 
   ByteReader R(Bytes);
@@ -72,14 +96,7 @@ std::optional<CheckResult> ResultCache::lookup(const Key &K) const {
   // not trusted) — and doubles as the collision check for the address.
   if (R.u64() != K.ProgHash || R.u64() != K.OptsFp)
     return Miss();
-  uint64_t PayloadLen = R.count(1);
-  if (!R.ok())
-    return Miss();
-  std::span<const uint8_t> Payload(Bytes.data() + (Bytes.size() - R.remaining()),
-                                   static_cast<size_t>(PayloadLen));
-  std::vector<uint8_t> Skip(static_cast<size_t>(PayloadLen));
-  if (!R.bytes(Skip))
-    return Miss();
+  std::span<const uint8_t> Payload = R.view(R.count(1));
   uint64_t Checksum = R.u64();
   if (!R.done() || Checksum != hashBytes(Payload))
     return Miss();

@@ -40,6 +40,22 @@
 /// [SRC]`, `.data BASE W...`, `.entry LBL`.  Comments start with `;` or
 /// `#`.
 ///
+/// **Numbers.**  A numeral is an optional `-`, an optional `0x`, and the
+/// alphanumeric run after them, every character of which must be a digit
+/// of the base; the value must fit in 64 bits before negation.  `12abc`,
+/// `0x` and `0x1ffffffffffffffff` are errors, not `12`, `0` and a
+/// saturated all-ones word.
+///
+/// **One pass.**  The parser reads the source once, as `std::string_view`
+/// tokens: no per-line or per-token copies, numbers converted in place,
+/// each label lexed once.  A use of a label (`br … -> L`, `jmp L`,
+/// `call L`, and `@L` in operands, `.init` and `.data`) gets a placeholder
+/// and an entry in one fixup list, resolved when the source has been
+/// read.  Diagnostics are reported in this order: duplicate labels alone
+/// if there are any; otherwise errors in line order (an unknown label
+/// ends its line's diagnostics), then an unknown `.entry` label;
+/// otherwise validation problems (line 0).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SCT_ISA_ASMPARSER_H

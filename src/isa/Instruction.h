@@ -206,6 +206,18 @@ public:
     Callee = NewCallee;
   }
 
+  /// Rewrites operand \p I of rv⃗.
+  void setArg(size_t I, Operand Op) {
+    assert(I < Args.size() && "operand index out of range");
+    Args[I] = Op;
+  }
+
+  /// Rewrites the value operand rv of a Store.
+  void setStoreValue(Operand Op) {
+    assert(Kind == InstrKind::Store && "not a store");
+    StoreVal = Op;
+  }
+
 private:
   InstrKind Kind = InstrKind::Fence;
   Opcode Opc = Opcode::True;

@@ -2,6 +2,7 @@
 
 #include "isa/Opcode.h"
 
+#include <array>
 #include <cassert>
 
 using namespace sct;
@@ -115,8 +116,16 @@ std::optional<Opcode> sct::parseOpcode(std::string_view Name) {
       Opcode::Eq,   Opcode::Ne,  Opcode::Ult,    Opcode::Ule,  Opcode::Ugt,
       Opcode::Uge,  Opcode::Slt, Opcode::Sle,    Opcode::Sgt,  Opcode::Sge,
       Opcode::True, Opcode::False, Opcode::Succ, Opcode::Pred};
-  for (Opcode Opc : All)
-    if (opcodeName(Opc) == Name)
-      return Opc;
+  static const std::array<std::string_view, std::size(All)> Names = [] {
+    std::array<std::string_view, std::size(All)> Table;
+    for (size_t I = 0; I < Table.size(); ++I)
+      Table[I] = opcodeName(All[I]);
+    return Table;
+  }();
+  for (size_t I = 0; I < Names.size(); ++I)
+    // Most mnemonics are three letters: the first one rules most out.
+    if (Names[I].size() == Name.size() && Names[I][0] == Name[0] &&
+        Names[I] == Name)
+      return All[I];
   return std::nullopt;
 }

@@ -104,7 +104,9 @@ public:
   }
 
   /// Code labels (name -> program point), for diagnostics and printing.
-  const std::map<std::string, PC> &codeLabels() const { return CodeLabels; }
+  const std::map<std::string, PC, std::less<>> &codeLabels() const {
+    return CodeLabels;
+  }
 
   /// Name of program point \p N if a code label points at it.
   std::optional<std::string> labelAt(PC N) const;
@@ -120,7 +122,7 @@ private:
   std::vector<MemRegion> Regions;
   std::vector<std::pair<Reg, uint64_t>> RegInits;
   std::vector<std::pair<uint64_t, uint64_t>> MemInits;
-  std::map<std::string, PC> CodeLabels;
+  std::map<std::string, PC, std::less<>> CodeLabels;
   PC Entry = 0;
 };
 

@@ -52,12 +52,6 @@ ProgramBuilder &ProgramBuilder::br(Opcode Cond, std::vector<Operand> Args,
   return *this;
 }
 
-ProgramBuilder &ProgramBuilder::brPC(Opcode Cond, std::vector<Operand> Args,
-                                     PC NTrue, PC NFalse) {
-  place(Instruction::makeBranch(Cond, std::move(Args), NTrue, NFalse));
-  return *this;
-}
-
 ProgramBuilder &ProgramBuilder::jmp(const std::string &Target) {
   return br(Opcode::True, {}, Target, Target);
 }
@@ -81,11 +75,6 @@ ProgramBuilder &ProgramBuilder::jmpi(std::vector<Operand> AddrArgs) {
 ProgramBuilder &ProgramBuilder::call(const std::string &Callee) {
   Pending.push_back({Prog.Text.size(), Callee, "", /*IsBranch=*/false});
   place(Instruction::makeCall(0));
-  return *this;
-}
-
-ProgramBuilder &ProgramBuilder::callPC(PC Callee) {
-  place(Instruction::makeCall(Callee));
   return *this;
 }
 
@@ -144,9 +133,8 @@ ProgramBuilder &ProgramBuilder::entryPC(PC N) {
   return *this;
 }
 
-ProgramBuilder &ProgramBuilder::labelAtPC(const std::string &Name, PC N) {
-  Prog.CodeLabels[Name] = N;
-  return *this;
+bool ProgramBuilder::labelAtPC(std::string_view Name, PC N) {
+  return Prog.CodeLabels.try_emplace(std::string(Name), N).second;
 }
 
 PC ProgramBuilder::pcOf(const std::string &Name) const {
@@ -180,5 +168,5 @@ Program ProgramBuilder::build() {
       I.setCallee(Resolve(P.TrueLabel));
   }
   Pending.clear();
-  return Prog;
+  return std::move(Prog);
 }

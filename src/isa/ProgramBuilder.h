@@ -59,9 +59,6 @@ public:
   ProgramBuilder &br(Opcode Cond, std::vector<Operand> Args,
                      const std::string &TrueLabel,
                      const std::string &FalseLabel);
-  /// Emits br with pre-resolved program points (used by the assembler).
-  ProgramBuilder &brPC(Opcode Cond, std::vector<Operand> Args, PC NTrue,
-                       PC NFalse);
   /// Emits an unconditional direct jump (encoded br true).
   ProgramBuilder &jmp(const std::string &Target);
   /// Emits r = load(rv⃗, ·).
@@ -72,8 +69,6 @@ public:
   ProgramBuilder &jmpi(std::vector<Operand> AddrArgs);
   /// Emits call(@Callee, ·).
   ProgramBuilder &call(const std::string &Callee);
-  /// Emits call with a pre-resolved callee (used by the assembler).
-  ProgramBuilder &callPC(PC Callee);
   /// Emits calli(rv⃗, ·).
   ProgramBuilder &calli(std::vector<Operand> TargetArgs);
   /// Emits ret.
@@ -95,14 +90,33 @@ public:
   ProgramBuilder &entry(const std::string &Name);
   /// Sets the entry point directly (used by the assembler).
   ProgramBuilder &entryPC(PC N);
-  /// Records a code label at an explicit point (used by the assembler).
-  ProgramBuilder &labelAtPC(const std::string &Name, PC N);
+  /// Records code label \p Name at an explicit point unless the name is
+  /// taken; returns whether it was recorded (used by the assembler).
+  bool labelAtPC(std::string_view Name, PC N);
+
+  /// Looks up a code label placed so far; does not declare.
+  std::optional<PC> lookupLabel(std::string_view Name) const {
+    auto It = Prog.CodeLabels.find(Name);
+    if (It == Prog.CodeLabels.end())
+      return std::nullopt;
+    return It->second;
+  }
+
+  /// Sizes the text, init and data lists for a caller that knows their
+  /// final lengths (the assembler).
+  void reserve(size_t Instrs, size_t Inits, size_t Words) {
+    Prog.Text.reserve(Instrs);
+    Prog.RegInits.reserve(Inits);
+    Prog.MemInits.reserve(Words);
+  }
 
   /// The program point of a previously placed label; asserts existence.
   PC pcOf(const std::string &Name) const;
 
   /// Resolves all label references and successors and returns the program.
   /// Asserts on dangling labels; call Program::validate() for full checks.
+  /// The program is moved out: the builder is spent afterwards, and only
+  /// destroying it is valid.
   Program build();
 
 private:

@@ -92,14 +92,14 @@ public:
     return S;
   }
 
-  /// Reads \p N raw bytes into \p Out; on under-run fails and leaves
-  /// \p Out untouched.
-  bool bytes(std::span<uint8_t> Out) {
-    if (!checkLen(Out.size()))
-      return false;
-    std::memcpy(Out.data(), Buf.data() + Pos, Out.size());
-    Pos += Out.size();
-    return true;
+  /// The next \p N raw bytes, in place; on under-run fails and returns
+  /// an empty span.
+  std::span<const uint8_t> view(uint64_t N) {
+    if (!checkLen(N))
+      return {};
+    std::span<const uint8_t> V = Buf.subspan(Pos, static_cast<size_t>(N));
+    Pos += static_cast<size_t>(N);
+    return V;
   }
 
   /// Reads a u64 element count and validates it against the bytes left

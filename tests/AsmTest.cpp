@@ -1,5 +1,6 @@
 //===- tests/AsmTest.cpp - Assembler, printer, builder, validation ----------===//
 
+#include "engine/Serialization.h"
 #include "isa/AsmParser.h"
 #include "isa/AsmPrinter.h"
 #include "isa/ProgramBuilder.h"
@@ -8,6 +9,8 @@
 #include "workloads/Figures.h"
 #include "workloads/Kocher.h"
 #include "workloads/SpectreSuites.h"
+
+#include "RandomProgram.h"
 
 #include <gtest/gtest.h>
 
@@ -83,6 +86,7 @@ TEST(AsmParser, LabelImmediatesResolveForward) {
 struct BadInput {
   const char *Source;
   const char *ExpectInMessage;
+  unsigned Line = 0; ///< The first error's line, when nonzero.
 };
 
 class AsmParserErrors : public ::testing::TestWithParam<BadInput> {};
@@ -93,6 +97,9 @@ TEST_P(AsmParserErrors, ReportsWithLineNumbers) {
   EXPECT_NE(R.errorText().find(GetParam().ExpectInMessage),
             std::string::npos)
       << R.errorText();
+  if (GetParam().Line) {
+    EXPECT_EQ(R.Errors.front().Line, GetParam().Line) << R.errorText();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -114,7 +121,27 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{".reg ra\nstart:\n  ra = mov 1 2\n", "trailing tokens"},
         BadInput{".region a 0x40 4 public\n.region b 0x42 4 public\n"
                  "start:\n  fence\n",
-                 "overlap"}));
+                 "overlap"},
+        // A numeral is all digits of its base and fits in 64 bits.
+        BadInput{".reg r0\nstart:\n  r0 = mov 12abc\n",
+                 "malformed number '12abc'", 3},
+        BadInput{".reg r0\nstart:\n  r0 = mov 0x\n",
+                 "malformed number '0x'", 3},
+        BadInput{".reg r0\nstart:\n  r0 = mov 0x1ffffffffffffffff\n",
+                 "number '0x1ffffffffffffffff' does not fit in 64 bits", 3},
+        BadInput{".reg r0\nstart:\n  r0 = mov 99999999999999999999999\n",
+                 "does not fit in 64 bits", 3},
+        BadInput{".reg r0\n.init r0 5 7\nstart:\n  fence\n",
+                 "trailing tokens after directive", 2},
+        BadInput{".region pub 0x40 4 public extra\nstart:\n  fence\n",
+                 "trailing tokens after directive", 1},
+        // Forward references resolve at the end, but errors keep source
+        // order: the unknown label on line 3 comes before line 4's error.
+        BadInput{".reg ra\nstart:\n  br ult ra, 1 -> nowhere, start\n"
+                 "  ra = bogus 1\n",
+                 "unknown code label 'nowhere'", 3},
+        BadInput{".reg ra\n  jmp later 7\nlater:\n  fence\n",
+                 "trailing tokens after instruction", 2}));
 
 //===----------------------------------------------------------------------===//
 // Printer round-trips
@@ -142,6 +169,27 @@ TEST(AsmPrinter, RoundTripsAllWorkloads) {
     EXPECT_EQ(printAsm(*R.Prog), Once);
     EXPECT_EQ(R.Prog->size(), P.size());
     EXPECT_EQ(R.Prog->entry(), P.entry());
+  }
+}
+
+/// Generator options with every construct on.
+RandomProgramOptions everyConstruct() {
+  RandomProgramOptions Opts;
+  Opts.WithCalls = true;
+  Opts.WithJumpI = true;
+  Opts.WithLoops = true;
+  Opts.WithTableLoads = true;
+  return Opts;
+}
+
+TEST(AsmPrinter, RoundTripsRandomPrograms) {
+  for (uint64_t Seed = 0; Seed < 600; ++Seed) {
+    Program P = randomProgram(Seed, everyConstruct());
+    std::string Text = printAsm(P);
+    ParseResult R = parseAsm(Text);
+    ASSERT_TRUE(R.ok()) << Text << "\n" << R.errorText();
+    EXPECT_EQ(programHash(*R.Prog), programHash(P)) << Text;
+    EXPECT_EQ(printAsm(*R.Prog), Text);
   }
 }
 
@@ -173,7 +221,7 @@ TEST(ProgramBuilder, ReservedRegistersAlwaysPresent) {
 TEST(ProgramValidate, CatchesOutOfRangeTargets) {
   ProgramBuilder B;
   B.reg("ra");
-  B.brPC(Opcode::True, {}, 99, 0);
+  B.raw(Instruction::makeBranch(Opcode::True, {}, 99, 0));
   Program P = B.build();
   std::vector<std::string> Problems = P.validate();
   ASSERT_FALSE(Problems.empty());
@@ -218,16 +266,20 @@ namespace {
 
 TEST(AsmParser, SurvivesMutatedInputs) {
   // Robustness: byte-level mutations of valid sources must produce clean
-  // diagnostics or a valid program — never a crash.
-  const std::string Seeds[] = {
+  // diagnostics or a valid program — never a crash — and an accepted
+  // mutant prints to text that parses back to the same text.  Digits,
+  // `x` and `-` in the alphabet exercise the number lexer.
+  std::vector<std::string> Seeds = {
       ".reg ra rb\nstart:\n  ra = add ra, 1\n  br ult ra, 4 -> start, e\n"
       "e:\n  store ra, [0x40, rb]\n",
       ".region k 0x40 4 secret\n.init rsp 0x20\nstart:\n  call f\nf:\n"
       "  ret\n",
   };
+  for (uint64_t Seed = 0; Seed < 20; ++Seed)
+    Seeds.push_back(printAsm(randomProgram(Seed, everyConstruct())));
   std::mt19937_64 Rng(42);
-  const char Alphabet[] = "abxr01[]@.,:->=# \n";
-  unsigned Parsed = 0, Rejected = 0;
+  const char Alphabet[] = "abxr0123456789[]@.,:->=# \n";
+  unsigned Parsed = 0, Rejected = 0, NumberErrors = 0;
   for (const std::string &Seed : Seeds)
     for (int Round = 0; Round < 400; ++Round) {
       std::string Mutated = Seed;
@@ -239,13 +291,21 @@ TEST(AsmParser, SurvivesMutatedInputs) {
       if (R.ok()) {
         ++Parsed;
         EXPECT_TRUE(R.Prog->validate().empty()) << Mutated;
+        std::string Printed = printAsm(*R.Prog);
+        ParseResult Again = parseAsm(Printed);
+        ASSERT_TRUE(Again.ok()) << Mutated << "\n" << Again.errorText();
+        EXPECT_EQ(printAsm(*Again.Prog), Printed) << Mutated;
       } else {
         ++Rejected;
-        EXPECT_FALSE(R.Errors.empty());
+        ASSERT_FALSE(R.Errors.empty());
+        const std::string &First = R.Errors.front().Message;
+        NumberErrors += First.find("malformed number") != std::string::npos ||
+                        First.find("does not fit") != std::string::npos;
       }
     }
   EXPECT_GT(Rejected, 0u);
   EXPECT_GT(Parsed, 0u); // Some mutations stay valid (comments etc.).
+  EXPECT_GT(NumberErrors, 0u);
 }
 
 } // namespace

@@ -243,9 +243,8 @@ TEST(Minimizer, SlicingIsIdempotentAndNeverLengthens) {
       EXPECT_EQ(*Key, L.key()) << C.Id;
       LeakRecord Again = L;
       Again.Sched = Once;
-      // Deliberately keep the stale chain (recorded for L.Sched, not
-      // Once): the seeding replay must hash-reject its rungs rather
-      // than seed from foreign states.
+      // Idempotence: minimizing the minimized witness again changes
+      // nothing.
       EXPECT_EQ(minimizeWitness(M, Init, Again, Opts), Once) << C.Id;
     }
   }

@@ -599,6 +599,58 @@ TEST(ResultCacheTest, CheckManyWarmPassIsAllHits) {
   }
 }
 
+TEST(ResultCacheTest, ParallelCachePassMatchesSequential) {
+  // checkMany looks keys up on the session's workers.  A warm batch of N
+  // hits and one miss at Threads=4 must serve the bytes a Threads=1 pass
+  // serves, count N hits, and leave the miss the whole thread budget:
+  // with one pending request the per-program split is 4 / min(4, 1).
+  std::vector<CheckRequest> Reqs;
+  for (const SuiteCase &C : kocherCases()) {
+    CheckRequest Req;
+    Req.Id = C.Id;
+    Req.Prog = C.Prog;
+    Req.Opts = v1v11Mode();
+    Reqs.push_back(std::move(Req));
+  }
+  ASSERT_GE(Reqs.size(), 8u);
+  const size_t Miss = Reqs.size() / 2;
+  std::vector<CheckRequest> Warm;
+  for (size_t I = 0; I < Reqs.size(); ++I)
+    if (I != Miss)
+      Warm.push_back(Reqs[I]);
+
+  CacheDirGuard Sequential, Parallel;
+  SessionOptions SOpts;
+  SOpts.Threads = 1;
+  SOpts.CacheDir = Sequential.path();
+  CheckSession(SOpts).checkMany(std::span<const CheckRequest>(Warm));
+  std::filesystem::copy(Sequential.path(), Parallel.path(),
+                        std::filesystem::copy_options::recursive);
+
+  CheckSession One(SOpts);
+  std::vector<CheckResult> R1 =
+      One.checkMany(std::span<const CheckRequest>(Reqs));
+  SOpts.Threads = 4;
+  SOpts.CacheDir = Parallel.path();
+  CheckSession Four(SOpts);
+  std::vector<CheckResult> R4 =
+      Four.checkMany(std::span<const CheckRequest>(Reqs));
+
+  ASSERT_EQ(R4.size(), Reqs.size());
+  EXPECT_EQ(Four.cache()->hits(), Warm.size());
+  EXPECT_EQ(Four.cache()->misses(), 1u);
+  for (size_t I = 0; I < Reqs.size(); ++I) {
+    SCOPED_TRACE(Reqs[I].Id);
+    EXPECT_EQ(R4[I].Id, Reqs[I].Id);
+    EXPECT_EQ(R4[I].FromCache, I != Miss);
+    if (I != Miss) {
+      EXPECT_EQ(serializeCheckResult(R1[I]), serializeCheckResult(R4[I]));
+    }
+  }
+  EXPECT_EQ(R1[Miss].Opts.Threads, 1u);
+  EXPECT_EQ(R4[Miss].Opts.Threads, 4u);
+}
+
 TEST(ResultCacheTest, UncacheableRequestsAreComputedNotStored) {
   // A custom initial configuration makes a request's outcome depend on
   // state the key cannot see: inside a cached batch it is computed every
