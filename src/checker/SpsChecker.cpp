@@ -4,10 +4,20 @@
 // Spectre Era" (Cauligi et al., PLDI 2020).
 //
 //===----------------------------------------------------------------------===//
+//
+// Each tape runs on the canonical sequential driver
+// (sched/SequentialScheduler.h) with a recorder that keeps only what the
+// checker reads: the retire count, and the P̂ pc and observation of each
+// secret observation, attributed at step time through `leakOriginOf` (the
+// explorer's and the minimizer's origin rule).  Nothing else about the
+// run is recorded, and no tape is re-executed to learn where its leaks
+// came from.  At each boundary the recorder spawns the child tapes, which
+// inherit the secrets seen so far.
+//
+//===----------------------------------------------------------------------===//
 
 #include "checker/SpsChecker.h"
 
-#include "checker/SequentialCt.h"
 #include "core/Machine.h"
 #include "sched/SequentialScheduler.h"
 
@@ -36,37 +46,37 @@ struct PendingTape {
   std::vector<AttributedLeak> PrefixLeaks;
 };
 
-/// True iff the instruction about to run at \p C reads the oracle tape.
-bool atConsult(const SpsTranslation &T, const Configuration &C) {
-  const Instruction &I = T.Prog.at(C.N);
-  return I.kind() == InstrKind::Load && I.args().size() == 1 &&
-         I.args()[0].isReg() && I.args()[0].getReg() == T.OracleCursor;
-}
+/// What one tape's run keeps: the origin of each secret observation,
+/// taken at step time (the prefix's first), and one child tape per oracle
+/// consult past the tape's end, pushed straight onto the work list.
+struct TapeRecorder {
+  const SpsTranslation &T;
+  /// ConsultAt[pc]: the instruction at pc reads the oracle tape.
+  const std::vector<char> &ConsultAt;
+  const PendingTape &Cur;
+  std::vector<PendingTape> &Work;
+  std::vector<AttributedLeak> Leaks;
 
-/// Replays a recorded schedule step by step to attribute each secret
-/// observation to the P̂ program point that emitted it.  The sequential
-/// run itself only records (directive, observation); origins live in the
-/// transients, so we re-execute and peek at the buffer before each step.
-std::vector<AttributedLeak> attributeLeaks(const Machine &M,
-                                           Configuration C,
-                                           const Schedule &Sched) {
-  std::vector<AttributedLeak> Out;
-  for (const Directive &D : Sched) {
-    PC Origin = 0;
-    if (D.isFetch())
-      Origin = C.N;
-    else if (D.isExecute() && C.Buf.contains(D.Idx))
-      Origin = C.Buf.at(D.Idx).Origin;
-    else if (D.isRetire() && !C.Buf.empty())
-      Origin = C.Buf.at(C.Buf.minIndex()).Origin;
-    auto Step = M.step(C, D);
-    if (!Step)
-      break; // Replay diverged — callers treat missing leaks as harness.
-    if (Step->Obs.isSecret())
-      Out.push_back({Origin, Step->Obs});
+  void boundary(const Configuration &C, size_t Retires) {
+    if (!ConsultAt[C.N])
+      return;
+    uint64_t K = C.Regs.get(T.OracleCursor).Bits - T.OracleBase;
+    if (K < Cur.Tape.size())
+      return;
+    // The child flips this consult to "mispredict" (tape words are
+    // public: the attacker chooses predictions).
+    PendingTape Child{Cur.Tape, C, Cur.PrefixRetires + Retires, Leaks};
+    Child.Tape.resize(K, 0);
+    Child.Tape.push_back(1);
+    for (uint64_t I = Cur.Tape.size(); I <= K; ++I)
+      Child.Start.Mem.store(T.OracleBase + I, Value::pub(Child.Tape[I]));
+    Work.push_back(std::move(Child));
   }
-  return Out;
-}
+  void applied(const Directive &, const StepOutcome &Out, PC Origin) {
+    if (Out.Obs.isSecret())
+      Leaks.push_back({Origin, Out.Obs});
+  }
+};
 
 } // namespace
 
@@ -106,8 +116,18 @@ SpsReport sct::checkSps(const Program &P, const ExplorerOptions &EOpts,
   SpsTranslation T = SpsTranslator::translate(P, TOpts, MOpts);
   Machine M(T.Prog, MOpts);
 
+  // The oracle consults: loads through the tape cursor.
+  std::vector<char> ConsultAt(T.Prog.size() + 1, 0);
+  for (PC N = 0; N < T.Prog.size(); ++N) {
+    const Instruction &I = T.Prog.at(N);
+    ConsultAt[N] = I.kind() == InstrKind::Load && I.args().size() == 1 &&
+                   I.args()[0].isReg() &&
+                   I.args()[0].getReg() == T.OracleCursor;
+  }
+
   // Lazy-oracle DFS over misprediction tapes; each edge of the tape tree
-  // runs once (see PendingTape).
+  // runs once (see PendingTape).  A run pushes its children shallowest
+  // consult first, so the deepest flip runs next.
   std::vector<PendingTape> Work;
   Work.push_back({{}, Configuration::initial(T.Prog), 0, {}});
   std::set<std::pair<PC, bool>> SeenCe;
@@ -128,44 +148,24 @@ SpsReport sct::checkSps(const Program &P, const ExplorerOptions &EOpts,
     Work.pop_back();
     ++Rep.TapesRun;
 
-    // Children: each consult past the tape's end spawns one that flips
-    // it to "mispredict" (tape words are public: the attacker chooses
-    // predictions).  Its prefix leaks are the first ChildLeaks[i] of
-    // this tape's, attributed once the run is over.
-    std::vector<PendingTape> Children;
-    std::vector<size_t> ChildLeaks;
-    size_t Scanned = 0, Secrets = Cur.PrefixLeaks.size();
-    auto Spawn = [&](const SequentialResult &S) {
-      const Configuration &C = S.Run.Final;
-      if (!atConsult(T, C))
-        return;
-      uint64_t K = C.Regs.get(T.OracleCursor).Bits - T.OracleBase;
-      if (K < Cur.Tape.size())
-        return;
-      PendingTape Child{Cur.Tape, C, Cur.PrefixRetires + S.Run.Retires, {}};
-      Child.Tape.resize(K, 0);
-      Child.Tape.push_back(1);
-      for (uint64_t I = Cur.Tape.size(); I <= K; ++I)
-        Child.Start.Mem.store(T.OracleBase + I, Value::pub(Child.Tape[I]));
-      for (; Scanned < S.Run.Trace.size(); ++Scanned)
-        Secrets += S.Run.Trace[Scanned].Obs.isSecret();
-      Children.push_back(std::move(Child));
-      ChildLeaks.push_back(Secrets);
-    };
-    SequentialResult R =
-        runSequential(M, Cur.Start, Opts.MaxRetiresPerTape - Cur.PrefixRetires,
-                      Spawn);
-    Rep.RetiresTotal += Cur.PrefixRetires + R.Run.Retires;
+    TapeRecorder Rec{T, ConsultAt, Cur, Work, std::move(Cur.PrefixLeaks)};
+    Configuration &C = Cur.Start;
+    size_t Retires = 0;
+    std::string WhyStuck;
+    SeqEnd End = driveSequential(M, C, Retires,
+                                 Opts.MaxRetiresPerTape - Cur.PrefixRetires,
+                                 Rec, WhyStuck);
+    Rep.RetiresTotal += Cur.PrefixRetires + Retires;
 
-    if (R.HitBound || R.Run.Stuck) {
-      Rep.Reason = R.Run.Stuck
-                       ? ("P\xcc\x82 run stuck: " + R.Run.StuckReason)
+    if (End != SeqEnd::Final) {
+      Rep.Reason = End == SeqEnd::Stuck
+                       ? ("P\xcc\x82 run stuck: " + WhyStuck)
                        : "per-tape retire bound hit (non-terminating tape)";
       return Finish(std::move(Rep));
     }
 
-    bool Valid = R.Run.Final.Regs.get(T.ValidFlag).Bits != 0;
-    bool Cov = R.Run.Final.Regs.get(T.CovFlag).Bits != 0;
+    bool Valid = C.Regs.get(T.ValidFlag).Bits != 0;
+    bool Cov = C.Regs.get(T.CovFlag).Bits != 0;
 
     if (!Valid) {
       // A source access strayed into harness address space: the harness
@@ -178,11 +178,7 @@ SpsReport sct::checkSps(const Program &P, const ExplorerOptions &EOpts,
                             // depth-clipped consult): blocks Proved only.
 
     // This tape's secret observations: its prefix's, then its run's.
-    std::vector<AttributedLeak> Leaks = std::move(Cur.PrefixLeaks);
-    if (R.Run.hasSecretObservation()) {
-      auto Own = attributeLeaks(M, std::move(Cur.Start), R.Sched);
-      Leaks.insert(Leaks.end(), Own.begin(), Own.end());
-    }
+    const std::vector<AttributedLeak> &Leaks = Rec.Leaks;
     if (!Leaks.empty()) {
       bool Mapped = false;
       for (const AttributedLeak &L : Leaks) {
@@ -209,13 +205,6 @@ SpsReport sct::checkSps(const Program &P, const ExplorerOptions &EOpts,
         Rep.Reason = "stopped at first counterexample";
         return Finish(std::move(Rep));
       }
-    }
-
-    // Pushed shallowest consult first, so the deepest flip runs next.
-    for (size_t I = 0; I < Children.size(); ++I) {
-      Children[I].PrefixLeaks.assign(Leaks.begin(),
-                                     Leaks.begin() + ChildLeaks[I]);
-      Work.push_back(std::move(Children[I]));
     }
   }
 

@@ -27,12 +27,22 @@ std::string operandList(const Program &P, const std::vector<Operand> &Ops) {
   return join(Parts, ", ");
 }
 
-/// Returns a printable name for program point \p N, inventing "pc<N>"
-/// pseudo-labels where the program has none.
+/// The pseudo-label invented for unlabelled program point \p N: "pc<N>",
+/// with '_' appended until no code label of \p P has that name.  Distinct
+/// points get distinct names, and none collides with a real label.
+std::string inventedName(const Program &P, PC N) {
+  std::string Name = "pc" + std::to_string(N);
+  while (P.codeLabels().count(Name))
+    Name += '_';
+  return Name;
+}
+
+/// Returns a printable name for program point \p N, inventing a
+/// pseudo-label where the program has none.
 std::string targetName(const Program &P, PC N) {
   if (auto Name = P.labelAt(N))
     return *Name;
-  return "pc" + std::to_string(N);
+  return inventedName(P, N);
 }
 
 } // namespace
@@ -109,7 +119,7 @@ std::string sct::printAsm(const Program &P) {
     LabelsAt[Point].push_back(Name);
   auto EnsureLabel = [&](PC N) {
     if (!LabelsAt.count(N))
-      LabelsAt[N].push_back("pc" + std::to_string(N));
+      LabelsAt[N].push_back(inventedName(P, N));
   };
   for (PC N = 0; N < P.size(); ++N) {
     const Instruction &I = P.at(N);

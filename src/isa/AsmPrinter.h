@@ -25,7 +25,8 @@ std::string printOperand(const Program &P, const Operand &Op);
 
 /// Renders the instruction at \p N in assembler syntax (one line, no
 /// label prefix).  Branch/call targets print as "pc<N>" pseudo-labels when
-/// the program has no label at the target.
+/// the program has no label at the target ('_' appended while a real
+/// label has that name).
 std::string printInstruction(const Program &P, PC N);
 
 /// Renders the whole program: directives, then the text section with code

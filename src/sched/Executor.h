@@ -51,6 +51,20 @@ struct RunResult {
   bool sameObservations(const RunResult &Other) const;
 };
 
+/// Program point responsible for a directive's observation in \p C, read
+/// *before* stepping (a rollback may remove the entry): the executed
+/// entry's origin, the retiring (oldest) entry's origin, or the current
+/// fetch point.  The explorer, the witness minimizer, the sequential
+/// driver, and the tests all attribute leaks through this one helper so
+/// their `LeakRecord::key()`s and SPS counterexample origins agree.
+inline PC leakOriginOf(const Configuration &C, const Directive &D) {
+  if (D.isExecute() && C.Buf.contains(D.Idx))
+    return C.Buf.at(D.Idx).Origin;
+  if (D.isRetire() && !C.Buf.empty())
+    return C.Buf.at(C.Buf.minIndex()).Origin;
+  return C.N;
+}
+
 /// Runs \p D from \p Init; stops early if a directive is inapplicable.
 RunResult runSchedule(const Machine &M, Configuration Init, const Schedule &D);
 

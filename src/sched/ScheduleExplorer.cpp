@@ -949,14 +949,6 @@ private:
 
 } // namespace
 
-PC sct::leakOriginOf(const Configuration &C, const Directive &D) {
-  if (D.isExecute() && C.Buf.contains(D.Idx))
-    return C.Buf.at(D.Idx).Origin;
-  if (D.isRetire() && !C.Buf.empty())
-    return C.Buf.at(C.Buf.minIndex()).Origin;
-  return C.N;
-}
-
 std::optional<PC> sct::actualTarget(const Machine &M, const Configuration &C,
                                     BufIdx At, const TransientInstr &T) {
   auto Args = M.resolveOperands(C, At, T.Args);

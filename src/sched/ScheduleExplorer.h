@@ -175,14 +175,6 @@ struct ExploreStats {
   std::vector<uint64_t> NewStatesPerDepth;
 };
 
-/// Program point responsible for a directive's observation in \p C, read
-/// *before* stepping (a rollback may remove the entry): the executed
-/// entry's origin, the retiring (oldest) entry's origin, or the current
-/// fetch point.  The explorer, the witness minimizer, and the tests all
-/// attribute leaks through this one helper so their `LeakRecord::key()`s
-/// agree.
-PC leakOriginOf(const Configuration &C, const Directive &D);
-
 /// The target unresolved control flow \p T (a Branch or JumpI entry, live
 /// at buffer index \p At or about to be fetched there) takes when it
 /// executes: a branch's static target by its condition, an indirect

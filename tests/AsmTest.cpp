@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 using namespace sct;
@@ -183,6 +184,7 @@ RandomProgramOptions everyConstruct() {
 }
 
 TEST(AsmPrinter, RoundTripsRandomPrograms) {
+  unsigned WithJumpI = 0;
   for (uint64_t Seed = 0; Seed < 600; ++Seed) {
     Program P = randomProgram(Seed, everyConstruct());
     std::string Text = printAsm(P);
@@ -190,7 +192,40 @@ TEST(AsmPrinter, RoundTripsRandomPrograms) {
     ASSERT_TRUE(R.ok()) << Text << "\n" << R.errorText();
     EXPECT_EQ(programHash(*R.Prog), programHash(P)) << Text;
     EXPECT_EQ(printAsm(*R.Prog), Text);
+    WithJumpI += std::any_of(P.text().begin(), P.text().end(),
+                             [](const Instruction &I) {
+                               return I.is(InstrKind::JumpI);
+                             });
   }
+  EXPECT_GT(WithJumpI, 0u) << "the generator never emitted a jmpi";
+}
+
+TEST(AsmPrinter, InventedLabelsAvoidRealOnes) {
+  // A real label `pc1` at point 2 and a jump to unlabelled point 1: the
+  // pseudo-label printed for point 1 must not be `pc1` too.
+  ProgramBuilder B;
+  Reg Ra = B.reg("ra");
+  B.raw(Instruction::makeBranch(Opcode::True, {}, 1, 1));
+  B.movi(Ra, 1);
+  B.label("pc1").movi(Ra, 2);
+  B.jmp("pc1");
+  Program P = B.build();
+  ASSERT_TRUE(P.validate().empty());
+  EXPECT_EQ(printInstruction(P, 0), "jmp pc1_");
+
+  std::string Text = printAsm(P);
+  ParseResult R = parseAsm(Text);
+  ASSERT_TRUE(R.ok()) << Text << "\n" << R.errorText();
+  const Program &Q = *R.Prog;
+  ASSERT_EQ(Q.size(), P.size());
+  EXPECT_EQ(Q.at(0).trueTarget(), 1u) << Text;
+  EXPECT_EQ(Q.at(3).trueTarget(), 2u) << Text;
+  EXPECT_EQ(Q.codeLabels().at("pc1"), 2u);
+  EXPECT_EQ(printAsm(Q), Text);
+  // Q carries the invented label, so from Q on the round trip is exact.
+  ParseResult Again = parseAsm(printAsm(Q));
+  ASSERT_TRUE(Again.ok()) << Again.errorText();
+  EXPECT_EQ(programHash(*Again.Prog), programHash(Q));
 }
 
 //===----------------------------------------------------------------------===//

@@ -3,7 +3,8 @@
 // Generates small random programs for the metatheory property tests:
 // forward-only branches (so sequential execution terminates), arithmetic
 // over a small register file, loads/stores into a compact address range
-// with both public and secret regions, fences, and optionally a leaf call.
+// with both public and secret regions, fences, and optionally a leaf call
+// and a forward indirect jump.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,7 +13,9 @@
 
 #include "isa/ProgramBuilder.h"
 
+#include <optional>
 #include <random>
+#include <string>
 
 namespace sct {
 
@@ -20,6 +23,8 @@ struct RandomProgramOptions {
   unsigned MinLength = 8;
   unsigned MaxLength = 24;
   bool WithCalls = true;
+  /// Sometimes emit one forward `jmpi` through a register initialised to
+  /// the target label's pc, in place of a forward branch.
   bool WithJumpI = false;
   /// Sometimes wrap the body in a small bounded counted loop (backward
   /// branch, trip count <= 4) — the kocher-05 shape whose speculative
@@ -79,6 +84,8 @@ inline Program randomProgram(uint64_t Seed,
   bool EmitCall = Opts.WithCalls && Pick(2) == 0;
   bool UseCalliPointer = false;
   Reg CalliReg;
+  std::optional<Reg> JumpIReg;
+  std::string JumpITarget;
   bool EmitLoop = Opts.WithLoops && Pick(4) < 3;
   Reg LoopC;
   unsigned Trip = 0;
@@ -122,6 +129,16 @@ inline Program randomProgram(uint64_t Seed,
               RandomAddr());
       break;
     case 7: {
+      if (Opts.WithJumpI && !JumpIReg && Pick(2) == 0) {
+        // Forward indirect jump through a register that nothing else
+        // writes, initialised below to a later label's pc (as the calli
+        // pointer is).
+        JumpIReg = B.reg("jp");
+        JumpITarget =
+            "i" + std::to_string(std::min(N + 1 + unsigned(Pick(3)), Length));
+        B.jmpi({ProgramBuilder::r(*JumpIReg)});
+        break;
+      }
       // Forward-only branch: both targets strictly later.
       unsigned TT = N + 1 + static_cast<unsigned>(Pick(3));
       unsigned FT = N + 1 + static_cast<unsigned>(Pick(3));
@@ -187,6 +204,8 @@ inline Program randomProgram(uint64_t Seed,
   B.movi(Regs[0], 0);
   if (UseCalliPointer)
     B.init(CalliReg, B.pcOf("leaf"));
+  if (JumpIReg)
+    B.init(*JumpIReg, B.pcOf(JumpITarget));
   return B.build();
 }
 

@@ -11,7 +11,10 @@
 //   - a seeded differential fuzz sweep over random programs with bounded
 //     loops and table-load (v1) gadgets, asserting leak-found iff
 //     SPS-counterexample on every conclusive run, with the failing seed
-//     and program printed on disagreement.
+//     and program printed on disagreement;
+//   - every counterexample of the sweep and of the Kocher cases replays:
+//     its tape, written into P̂'s initial memory, drives a canonical
+//     sequential run to a secret observation at its P̂ pc.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,9 +24,12 @@
 #include "checker/FenceInsertion.h"
 #include "checker/SctChecker.h"
 #include "checker/SpsChecker.h"
+#include "checker/SpsTranslator.h"
 #include "isa/AsmParser.h"
 #include "isa/AsmPrinter.h"
 #include "sched/ScheduleExplorer.h"
+#include "sched/SequentialScheduler.h"
+#include "workloads/Kocher.h"
 
 #include <gtest/gtest.h>
 
@@ -55,6 +61,39 @@ Program v1Gadget() {
     end:
       t = mov 0
   )");
+}
+
+/// Checks that every counterexample of \p S (a checkSps report for \p P
+/// under \p Mode, without DepthToWindow and with the default per-tape
+/// retire bound) replays: its tape, written at `OracleBase` into P̂'s
+/// initial configuration, drives the canonical sequential run to a secret
+/// observation whose origin is its `TransPC`.  Returns the number of
+/// counterexamples checked.
+size_t expectCounterExamplesReplay(const Program &P,
+                                   const ExplorerOptions &Mode,
+                                   const SpsReport &S,
+                                   const std::string &Where) {
+  if (S.CounterExamples.empty())
+    return 0;
+  SpsTranslation T = SpsTranslator::translate(P, Mode, {});
+  Machine M(T.Prog);
+  for (const SpsCounterExample &CE : S.CounterExamples) {
+    Configuration Init = Configuration::initial(T.Prog);
+    for (size_t I = 0; I < CE.Tape.size(); ++I)
+      Init.Mem.store(T.OracleBase + I, Value::pub(CE.Tape[I]));
+    SequentialResult R =
+        runSequential(M, Init, SpsOptions().MaxRetiresPerTape);
+    EXPECT_FALSE(R.Run.Stuck || R.HitBound) << Where;
+    bool Found = false;
+    Configuration C = std::move(Init);
+    for (const StepRecord &Step : R.Run.Trace) {
+      Found |= Step.Obs.isSecret() && leakOriginOf(C, Step.D) == CE.TransPC;
+      M.step(C, Step.D);
+    }
+    EXPECT_TRUE(Found) << Where << ": no secret observation at P\xcc\x82 pc "
+                       << CE.TransPC << " (source pc " << CE.Origin << ")";
+  }
+  return S.CounterExamples.size();
 }
 
 //===----------------------------------------------------- handcrafted ----===//
@@ -183,11 +222,14 @@ TEST(SpsDifferentialFuzz, LeakFoundIffSpsCounterExample) {
 
   const uint64_t Seeds = 420;
   unsigned Conclusive = 0, Leaky = 0, Disagreements = 0;
+  size_t Replayed = 0;
   for (uint64_t Seed = 1; Seed <= Seeds; ++Seed) {
     Program P = randomProgram(Seed, RO);
     ASSERT_TRUE(P.validate().empty()) << "seed " << Seed;
     ExploreResult R = exploreProgram(P, fuzzMode());
     SpsCrossCheck X = crossValidateSps(P, fuzzMode(), R, {}, SO);
+    Replayed += expectCounterExamplesReplay(P, fuzzMode(), X.Sps,
+                                            "seed " + std::to_string(Seed));
     if (X.Skipped)
       continue; // A budget gave out on one side; neither is authoritative.
     ++Conclusive;
@@ -207,6 +249,16 @@ TEST(SpsDifferentialFuzz, LeakFoundIffSpsCounterExample) {
   EXPECT_GE(Conclusive, 200u);
   EXPECT_GT(Leaky, 50u);
   EXPECT_GT(Conclusive - Leaky, 50u);
+  EXPECT_GT(Replayed, 500u);
+}
+
+TEST(SpsDifferentialFuzz, KocherCounterExamplesReplay) {
+  size_t Replayed = 0;
+  for (const SuiteCase &C : kocherCases()) {
+    SpsReport S = checkSps(C.Prog, fuzzMode());
+    Replayed += expectCounterExamplesReplay(C.Prog, fuzzMode(), S, C.Id);
+  }
+  EXPECT_GT(Replayed, 0u);
 }
 
 } // namespace
