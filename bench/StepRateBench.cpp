@@ -100,7 +100,7 @@ struct BenchCase {
   std::string Id;
   Program Prog;
   ExplorerOptions Mode;
-  /// The tree stops at its step budget, so only the sequential drain
+  /// The tree stops at its step budget, so only the one-worker drain
   /// order is reproducible: run at Threads=1 only.
   bool SequentialOnly = false;
 };

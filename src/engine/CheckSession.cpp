@@ -3,46 +3,12 @@
 #include "engine/CheckSession.h"
 
 #include "engine/ResultCache.h"
+#include "sched/WorkDeque.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <thread>
 
 using namespace sct;
-
-namespace {
-
-/// Runs \p Work(I) for every I below \p Count on min(\p Workers, Count)
-/// threads that pull indices from a shared counter; inline when that is
-/// one thread.
-template <typename Fn>
-void forEachIndex(size_t Count, unsigned Workers, const Fn &Work) {
-  unsigned PoolSize =
-      static_cast<unsigned>(std::min<size_t>(Workers, Count));
-  if (PoolSize <= 1) {
-    for (size_t I = 0; I < Count; ++I)
-      Work(I);
-    return;
-  }
-  std::atomic<size_t> Next{0};
-  auto Drain = [&] {
-    for (;;) {
-      size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-      if (I >= Count)
-        return;
-      Work(I);
-    }
-  };
-  std::vector<std::thread> Pool;
-  Pool.reserve(PoolSize);
-  for (unsigned W = 0; W < PoolSize; ++W)
-    Pool.emplace_back(Drain);
-  for (std::thread &T : Pool)
-    T.join();
-}
-
-} // namespace
 
 CheckSession::CheckSession(SessionOptions SOpts) : Opts(std::move(SOpts)) {
   if (this->Opts.Threads == 0)
@@ -153,7 +119,7 @@ CheckSession::checkMany(std::span<const CheckRequest> Reqs) const {
   // Cache pass first, on the pool: an unchanged corpus audit is pure
   // lookups.  A hit is marked by its FromCache.
   if (Cache)
-    forEachIndex(Reqs.size(), Opts.Threads, [&](size_t I) {
+    forEachIndex(Reqs.size(), Opts.Threads, [&](size_t I, unsigned) {
       if (std::optional<CheckResult> Hit =
               Cache->lookupResult(Reqs[I], Reqs[I].resolved(Opts))) {
         Hit->Id = Reqs[I].Id;
@@ -174,7 +140,7 @@ CheckSession::checkMany(std::span<const CheckRequest> Reqs) const {
   unsigned PoolSize =
       static_cast<unsigned>(std::min<size_t>(Opts.Threads, Pending.size()));
   unsigned PerProgram = std::max(1u, Opts.Threads / PoolSize);
-  forEachIndex(Pending.size(), Opts.Threads, [&](size_t N) {
+  forEachIndex(Pending.size(), Opts.Threads, [&](size_t N, unsigned) {
     size_t I = Pending[N];
     Results[I] = runOne(Reqs[I], PerProgram);
     if (Cache)

@@ -42,11 +42,13 @@
 /// **Thread-safety.**  A CheckSession is immutable after construction:
 /// `check()` and `checkMany()` are const, allocate all mutable state per
 /// call, and may be invoked concurrently from any number of threads (each
-/// call builds its own worker pool, so concurrent calls multiply thread
-/// counts — prefer one batched checkMany).  Requests are taken by
-/// span/reference and must outlive the call; results are returned by
-/// value in request order.  The result cache is safe for concurrent use
-/// (lookups read immutable files; stores are atomic renames).
+/// call starts its own workers through `forEachIndex` and `runWorkers`,
+/// sched/WorkDeque.h, the calling thread being worker 0, so concurrent
+/// calls multiply thread counts — prefer one batched checkMany).
+/// Requests are taken by span/reference and must outlive the call;
+/// results are returned by value in request order.  The result cache is
+/// safe for concurrent use (lookups read immutable files; stores are
+/// atomic renames).
 ///
 /// **Determinism.**  A check with Threads <= 1 (session and request) is
 /// fully reproducible, counters included.  With parallelism anywhere, the

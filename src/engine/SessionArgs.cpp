@@ -34,8 +34,9 @@ constexpr uint64_t MaxWorkers = 1024;
 unsigned asWorkers(const char *V) {
   return static_cast<unsigned>(parseInteger(V, 0, MaxWorkers));
 }
-uint64_t asU64(const char *V) {
-  return parseInteger(V, 0, std::numeric_limits<uint64_t>::max());
+/// A work budget: 0 would do no work at all (no replay, no tape).
+uint64_t asBudget(const char *V) {
+  return parseInteger(V, 1, std::numeric_limits<uint64_t>::max());
 }
 
 // The one place a session flag is declared.  Rows parse *and* document:
@@ -55,10 +56,7 @@ constexpr SessionFlag Flags[] = {
      }},
     {"--minimize-budget", "N", "replays spent minimizing each witness",
      [](SessionOptions &O, const char *V) {
-       // 0 would leave every witness unminimized; at least the seeding
-       // replay must fit.
-       O.Passes.Minimize.MaxReplays =
-           parseInteger(V, 1, std::numeric_limits<uint64_t>::max());
+       O.Passes.Minimize.MaxReplays = asBudget(V);
      }},
     {"--minimize-threads", "N",
      "minimization worker threads (0 = the check's frontier share)",
@@ -70,7 +68,7 @@ constexpr SessionFlag Flags[] = {
      [](SessionOptions &O, const char *) { O.Passes.ProveSps = true; }},
     {"--sps-max-tapes", "N", "oracle-tape budget for --prove-sps",
      [](SessionOptions &O, const char *V) {
-       O.Passes.Sps.MaxTapes = asU64(V);
+       O.Passes.Sps.MaxTapes = asBudget(V);
      }},
     {"--cache-dir", "DIR",
      "persistent result cache: serve unchanged checks from DIR",

@@ -18,9 +18,7 @@
 
 #include <algorithm>
 #include <map>
-#include <random>
 #include <set>
-#include <thread>
 
 using namespace sct;
 
@@ -565,45 +563,16 @@ MinimizeStats sct::minimizeWitnesses(const Machine &M,
                                      const Configuration &Init,
                                      std::vector<LeakRecord> &Leaks,
                                      const MinimizeOptions &Opts) {
+  // Per-leak jobs never create jobs, so workers take leak indices from
+  // forEachIndex's shared counter.  Each worker replays through its own
+  // Configurations (COW forks of the shared Init) and fills only its jobs'
+  // MinSched slots; stats merge by summation at join.
+  std::vector<MinimizeStats> PerWorker(std::max(Opts.Threads, 1u));
+  forEachIndex(Leaks.size(), Opts.Threads, [&](size_t I, unsigned Worker) {
+    Leaks[I].MinSched =
+        minimizeWitness(M, Init, Leaks[I], Opts, &PerWorker[Worker]);
+  });
   MinimizeStats Stats;
-  unsigned Workers = Opts.Threads;
-  if (Workers > Leaks.size())
-    Workers = static_cast<unsigned>(Leaks.size());
-  if (Workers <= 1) {
-    // Sequential: today's deterministic order (and what any thread count
-    // reproduces per leak — each job is a pure function of its inputs).
-    for (LeakRecord &L : Leaks)
-      L.MinSched = minimizeWitness(M, Init, L, Opts, &Stats);
-    return Stats;
-  }
-
-  // Per-leak jobs on the explorer's work-stealing deques: worker W owns
-  // deque W preloaded round-robin, pops LIFO, and steals half a random
-  // victim's deque when dry.  Jobs never create jobs, so a worker exits
-  // once every deque probes empty.  Each worker replays through its own
-  // Configurations (COW forks of the shared Init — the same sharing
-  // discipline the explorer's frontier workers use) and fills only its
-  // jobs' MinSched slots; stats merge by summation at join.
-  StealQueue<size_t> Jobs(Workers);
-  for (size_t I = 0; I < Leaks.size(); ++I)
-    Jobs.push(static_cast<unsigned>(I % Workers), size_t(I));
-  std::vector<MinimizeStats> PerWorker(Workers);
-  std::vector<std::thread> Pool;
-  Pool.reserve(Workers);
-  for (unsigned Id = 0; Id < Workers; ++Id)
-    Pool.emplace_back([&, Id] {
-      std::minstd_rand Rng(Id * 0x9e3779b9u + 0x1b873593u);
-      for (;;) {
-        size_t Job;
-        if (!Jobs.tryPop(Id, Job) &&
-            !Jobs.trySteal(Id, static_cast<unsigned>(Rng()), Job))
-          return;
-        Leaks[Job].MinSched =
-            minimizeWitness(M, Init, Leaks[Job], Opts, &PerWorker[Id]);
-      }
-    });
-  for (std::thread &T : Pool)
-    T.join();
   for (const MinimizeStats &S : PerWorker)
     Stats.merge(S);
   return Stats;

@@ -86,16 +86,16 @@
 /// budget runs out the best schedule found so far is returned — it is
 /// still a valid witness, just possibly not 1-minimal.
 ///
-/// **Parallel minimization.**  The per-leak searches are independent, so
-/// `minimizeWitnesses` drains them as jobs from the same work-stealing
-/// deques the explorer's frontier uses (sched/WorkDeque.h) when
-/// `MinimizeOptions::Threads > 1`: each worker owns a deque of leak
-/// indices, steals half a random victim's when dry, and replays through
-/// its own per-worker `Configuration`s (copy-on-write forks of the shared
+/// **Parallel minimization.**  The per-leak searches are independent and
+/// never create more work, so `minimizeWitnesses` runs them through the
+/// library's one worker helper (`forEachIndex`, sched/WorkDeque.h) on
+/// min(`MinimizeOptions::Threads`, leaks) workers, the calling thread
+/// among them: workers take leak indices from a shared counter and replay
+/// through their own `Configuration`s (copy-on-write forks of the shared
 /// initial state).  Each leak's result is a pure function of (machine,
 /// initial configuration, leak, options), so the minimized schedules are
-/// byte-identical at any thread count; `Threads <= 1` keeps the
-/// deterministic sequential order.  Per-worker `MinimizeStats` merge by
+/// byte-identical at any thread count; `Threads <= 1` runs the leaks in
+/// order on the calling thread.  Per-worker `MinimizeStats` merge by
 /// summation, which is order-independent.
 ///
 //===----------------------------------------------------------------------===//
@@ -116,8 +116,8 @@ struct MinimizeOptions {
   /// the repo's suites.
   uint64_t MaxReplays = 1 << 14;
   /// Worker threads for `minimizeWitnesses` batches: 0 or 1 minimizes
-  /// leaks sequentially in order; N > 1 drains per-leak jobs from
-  /// work-stealing deques.  0 additionally means "unset" to CheckSession,
+  /// leaks sequentially in order; N > 1 spreads per-leak jobs over
+  /// min(N, leaks) workers.  0 additionally means "unset" to CheckSession,
   /// which substitutes the session's frontier thread share.
   unsigned Threads = 0;
 };
@@ -169,9 +169,9 @@ Schedule minimizeWitness(const Machine &M, const Configuration &Init,
 
 /// Minimizes every leak in \p Leaks in place, filling each
 /// `LeakRecord::MinSched`; returns the aggregated stats.  With
-/// `Opts.Threads > 1` the per-leak jobs run on a work-stealing worker
-/// pool; the filled schedules are byte-identical to the sequential order
-/// (each job is independent and deterministic).
+/// `Opts.Threads > 1` the per-leak jobs run on that many workers
+/// (`forEachIndex`); the filled schedules are byte-identical to the
+/// sequential order (each job is independent and deterministic).
 MinimizeStats minimizeWitnesses(const Machine &M, const Configuration &Init,
                                 std::vector<LeakRecord> &Leaks,
                                 const MinimizeOptions &Opts = {});

@@ -5,17 +5,15 @@
 // a node, moves its configuration out, and runs the path forward.
 // Decision points (Definition B.18's schedule-set forks) do not recurse:
 // the fork's probed configuration becomes a new node, the worker switches
-// to the first fork and pushes the rest plus its own continuation, which
-// for a single worker reproduces the legacy depth-first order exactly.
+// to the first fork and pushes the rest plus its own continuation.
 //
-// Two drain modes share the path-running code:
-//  - Threads <= 1: the frontier is a plain vector drained LIFO on the
-//    calling thread — the deterministic legacy order.
-//  - Threads > 1: per-worker work-stealing deques
-//    (sched/WorkDeque.h); owners pop LIFO, thieves steal the oldest half
-//    of a random victim.  Termination is a global in-flight count: nodes
-//    queued plus paths running; when it hits zero no work exists or can
-//    appear.
+// One drain serves every thread count: per-worker work-stealing deques
+// (sched/WorkDeque.h) on runWorkers' threads, the calling thread being
+// worker 0.  Owners pop LIFO, thieves steal the oldest half of a random
+// victim.  At Threads <= 1 that is one deque drained LIFO by the calling
+// thread — exactly depth-first, the deterministic legacy order.
+// Termination is a global in-flight count: nodes queued plus paths
+// running; when it hits zero no work exists or can appear.
 //
 // Budgets and tallies are shared atomics; leaks collect in per-worker
 // buffers merged through LeakRecord::key() at the end, so the deduplicated
@@ -127,30 +125,23 @@ class Engine {
 public:
   Engine(const Machine &M, const ExplorerOptions &Opts)
       : M(M), P(M.program()), Opts(Opts),
-        NumWorkers(Opts.Threads > 1 ? Opts.Threads : 1),
-        Deques(NumWorkers > 1 ? NumWorkers : 0), Workers(NumWorkers) {}
+        NumWorkers(Opts.Threads > 1 ? Opts.Threads : 1), Deques(NumWorkers),
+        Workers(NumWorkers) {}
 
   ExploreResult run(Configuration Init) {
-    {
-      ExploreNode Root;
-      Root.C = std::move(Init);
-      if (NumWorkers > 1) {
-        InFlight.fetch_add(1);
-        Deques.push(0, std::move(Root));
-      } else {
-        Frontier.push_back(std::move(Root));
+    ExploreNode Root;
+    Root.C = std::move(Init);
+    InFlight.fetch_add(1);
+    Deques.push(0, std::move(Root));
+    runWorkers(NumWorkers, [this](unsigned Id) {
+      try {
+        workerLoop(Id);
+      } catch (...) {
+        // The failed path stays in flight; release the other workers.
+        stopAll(/*Truncated=*/false);
+        throw;
       }
-    }
-    if (NumWorkers == 1) {
-      drainSequential();
-    } else {
-      std::vector<std::thread> Pool;
-      Pool.reserve(NumWorkers);
-      for (unsigned Id = 0; Id < NumWorkers; ++Id)
-        Pool.emplace_back([this, Id] { workerLoopStealing(Id); });
-      for (std::thread &T : Pool)
-        T.join();
-    }
+    });
     return harvest();
   }
 
@@ -199,15 +190,12 @@ private:
   const ExplorerOptions &Opts;
   const unsigned NumWorkers;
 
-  // Sharded frontier (Threads > 1): one work-stealing deque per worker.
+  // Sharded frontier: one work-stealing deque per worker.
   StealQueue<ExploreNode> Deques;
   /// Nodes queued in any deque plus paths currently being run.  Zero
   /// means exploration is complete: no node exists and no running path
   /// can create one.
   std::atomic<uint64_t> InFlight{0};
-
-  // Plain LIFO frontier (Threads <= 1).
-  std::vector<ExploreNode> Frontier;
 
   // Shared tallies and stop signals.
   std::atomic<uint64_t> TotalSteps{0};
@@ -263,10 +251,6 @@ private:
     N.Prefix = Pth.Prefix;
     N.Suffix = std::move(Pth.Suffix);
     N.PathSteps = Pth.Steps;
-    if (NumWorkers == 1) {
-      Frontier.push_back(std::move(N));
-      return;
-    }
     InFlight.fetch_add(1);
     Deques.push(Pth.WorkerId, std::move(N));
   }
@@ -294,21 +278,13 @@ private:
 
   bool stopped() const { return StopFlag.load(std::memory_order_relaxed); }
 
-  //===------------------------------------------------- drain protocols ---===//
+  //===----------------------------------------------------------- drain ---===//
 
-  void drainSequential() {
-    while (!Frontier.empty() && !stopped()) {
-      ExploreNode N = std::move(Frontier.back());
-      Frontier.pop_back();
-      Path Pth = materialize(std::move(N), 0);
-      runPath(Pth);
-    }
-  }
-
-  /// The work-stealing drain: pop the own deque LIFO; when dry, steal the
-  /// oldest half of a random victim; when everything is dry, exit once
-  /// the in-flight count proves no path can produce new nodes.
-  void workerLoopStealing(unsigned Id) {
+  /// The drain: pop the own deque LIFO; when dry, steal the oldest half of
+  /// a random victim; when everything is dry, exit once the in-flight
+  /// count proves no path can produce new nodes.  A lone worker never
+  /// steals or waits: its deque is empty only when nothing is in flight.
+  void workerLoop(unsigned Id) {
     std::minstd_rand Rng(Id * 0x9e3779b9u + 0x2545f491u);
     unsigned IdleRounds = 0;
     for (;;) {

@@ -32,20 +32,22 @@
 /// (schedule prefix + forked configuration) drained by a pool of worker
 /// threads.  A fork stores a copy of its configuration — cheap, since
 /// memory and the reorder buffer are copy-on-write and structurally
-/// shared.  With `Threads = N > 1` the frontier is *sharded*: each worker
-/// owns a Chase-Lev-style deque (sched/WorkDeque.h) it pushes and pops
-/// LIFO, and steals the oldest half of a random victim's deque when its
-/// own runs dry.  Optionally a cross-schedule seen-state table
+/// shared.  The frontier is *sharded* at every thread count: each of the
+/// `Threads` workers (the calling thread is worker 0) owns a
+/// Chase-Lev-style deque (sched/WorkDeque.h) it pushes and pops LIFO, and
+/// steals the oldest half of a random victim's deque when its own runs
+/// dry; at `Threads <= 1` that is one deque drained by the calling
+/// thread.  Optionally a cross-schedule seen-state table
 /// (`PruneSeen`, sched/SeenStates.h) keyed on `Configuration::hash()`
 /// drops frontier candidates whose configuration was already visited on
 /// any schedule — v4-mode hazard re-executions converge onto previously
 /// forked states constantly, and identical configurations have identical
 /// subtrees.
 ///
-/// **Determinism contract.**  `Threads <= 1` drains the frontier on the
-/// calling thread in the legacy depth-first order: schedules complete in
-/// a fixed sequence and every counter in `ExploreResult` is reproducible
-/// run-to-run (with `PruneSeen` on — the default — still deterministic:
+/// **Determinism contract.**  `Threads <= 1` drains the frontier's one
+/// deque on the calling thread in the legacy depth-first order:
+/// schedules complete in a fixed sequence and every counter in
+/// `ExploreResult` is reproducible run-to-run (with `PruneSeen` on — the default — still deterministic:
 /// the same duplicates are pruned at the same points).  `Threads = N > 1`
 /// drains in a racy order but produces the **identical deduplicated leak
 /// set** for any N: schedule-tree forks are independent of drain order,

@@ -9,12 +9,8 @@ namespace {
 /// Records every step into the result's schedule and trace.
 struct TraceRecorder {
   SequentialResult &R;
-  const BoundaryHook &AtBoundary;
 
-  void boundary(const Configuration &, size_t) {
-    if (AtBoundary)
-      AtBoundary(R);
-  }
+  void boundary(const Configuration &, size_t) {}
   void applied(const Directive &D, const StepOutcome &Out, PC) {
     R.Sched.push_back(D);
     R.Run.Trace.push_back({D, Out.Obs, Out.Rule});
@@ -24,11 +20,10 @@ struct TraceRecorder {
 } // namespace
 
 SequentialResult sct::runSequential(const Machine &M, Configuration Init,
-                                    size_t MaxRetires,
-                                    const BoundaryHook &AtBoundary) {
+                                    size_t MaxRetires) {
   SequentialResult R;
   R.Run.Final = std::move(Init);
-  TraceRecorder Rec{R, AtBoundary};
+  TraceRecorder Rec{R};
   std::string Why;
   switch (driveSequential(M, R.Run.Final, R.Run.Retires, MaxRetires, Rec,
                           Why)) {
@@ -44,9 +39,4 @@ SequentialResult sct::runSequential(const Machine &M, Configuration Init,
     break;
   }
   return R;
-}
-
-SequentialResult sct::runSequentialN(const Machine &M, Configuration Init,
-                                     size_t N) {
-  return runSequential(M, std::move(Init), N);
 }

@@ -36,7 +36,6 @@
 #include "sched/Executor.h"
 
 #include <cassert>
-#include <functional>
 
 namespace sct {
 
@@ -187,24 +186,13 @@ struct SequentialResult {
   bool HitBound = false;
 };
 
-/// Called at each instruction boundary a sequential run passes (the
-/// buffer is empty and the retire bound not yet reached), before the
-/// instruction at `R.Run.Final.N` is fetched.
-using BoundaryHook = std::function<void(const SequentialResult &R)>;
-
 /// Runs the canonical sequential schedule from \p Init until the program
 /// finishes or \p MaxRetires retire directives have been issued
 /// (whichever comes first), recording every step's directive,
-/// observation and rule, and calling \p AtBoundary (if set) at each
-/// instruction boundary.
+/// observation and rule.  With \p MaxRetires = N this is the ⇓^N_seq of
+/// Theorem B.7.
 SequentialResult runSequential(const Machine &M, Configuration Init,
-                               size_t MaxRetires = 1 << 20,
-                               const BoundaryHook &AtBoundary = {});
-
-/// Runs exactly \p N retire directives of the canonical sequential
-/// schedule (the ⇓^N_seq of Theorem B.7); stops early at program end.
-SequentialResult runSequentialN(const Machine &M, Configuration Init,
-                                size_t N);
+                               size_t MaxRetires = 1 << 20);
 
 } // namespace sct
 

@@ -1,4 +1,4 @@
-//===- sched/WorkDeque.h - Work-stealing frontier shards -------*- C++ -*-===//
+//===- sched/WorkDeque.h - Worker threads and frontier shards --*- C++ -*-===//
 //
 // Part of libsct, a reproduction of "Constant-Time Foundations for the New
 // Spectre Era" (Cauligi et al., PLDI 2020).
@@ -25,17 +25,23 @@
 /// mutex: a worker's fast path touches only its own shard, and thieves
 /// contend only with the specific victim they probe.
 ///
+/// `runWorkers` is the library's one thread-spawn site: the explorer's
+/// drain, both `checkMany` passes and the witness minimizer's per-leak
+/// jobs (through `forEachIndex`) all start their workers there.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SCT_SCHED_WORKDEQUE_H
 #define SCT_SCHED_WORKDEQUE_H
 
-#include <cassert>
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 namespace sct {
@@ -73,13 +79,8 @@ public:
     return Take;
   }
 
-  bool empty() const {
-    std::lock_guard<std::mutex> L(Mu);
-    return Items.empty();
-  }
-
 private:
-  mutable std::mutex Mu;
+  std::mutex Mu;
   std::deque<T> Items;
 };
 
@@ -116,8 +117,6 @@ public:
   /// if every victim was empty.
   size_t trySteal(unsigned Home, unsigned RandomOffset, T &Out) {
     unsigned D = workers();
-    if (D <= 1)
-      return 0;
     std::vector<T> Loot;
     for (unsigned K = 0; K < D; ++K) {
       unsigned Victim = (RandomOffset + K) % D;
@@ -139,6 +138,53 @@ public:
 private:
   std::vector<std::unique_ptr<WorkDeque<T>>> Deques;
 };
+
+/// Runs \p Work(Id) concurrently for every worker Id below
+/// max(\p Workers, 1): the calling thread is worker 0, and one thread is
+/// started for each other worker (none at Workers <= 1).  Returns once
+/// every started thread has been joined, also when a worker throws; the
+/// first exception any worker threw is then rethrown on the caller.
+template <typename Fn> void runWorkers(unsigned Workers, const Fn &Work) {
+  std::mutex FailureMu;
+  std::exception_ptr Failure;
+  auto Run = [&](unsigned Id) {
+    try {
+      Work(Id);
+    } catch (...) {
+      std::lock_guard<std::mutex> L(FailureMu);
+      if (!Failure)
+        Failure = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> Pool; // Joins every started thread on exit.
+    if (Workers > 1)
+      Pool.reserve(Workers - 1);
+    for (unsigned Id = 1; Id < Workers; ++Id)
+      Pool.emplace_back(Run, Id);
+    Run(0);
+  }
+  if (Failure)
+    std::rethrow_exception(Failure);
+}
+
+/// Runs \p Work(I, Worker) once for every index I below \p Count on
+/// min(\p Workers, Count) workers (runWorkers) that take indices from a
+/// shared counter; Worker is the running worker's id.  With at most one
+/// worker, the indices run in order on the calling thread.
+template <typename Fn>
+void forEachIndex(size_t Count, unsigned Workers, const Fn &Work) {
+  std::atomic<size_t> Next{0};
+  runWorkers(static_cast<unsigned>(std::min<size_t>(Workers, Count)),
+             [&](unsigned Worker) {
+               for (;;) {
+                 size_t I = Next.fetch_add(1, std::memory_order_relaxed);
+                 if (I >= Count)
+                   return;
+                 Work(I, Worker);
+               }
+             });
+}
 
 } // namespace sct
 

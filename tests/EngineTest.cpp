@@ -90,7 +90,7 @@ TEST(ParallelEngine, KocherLeakSetsMatchSequentialBothModes) {
 TEST(ParallelEngine, KocherLeakSetsMatchUnderStealingAndPruning) {
   // For every Kocher variant in both modes, the work-stealing sharded
   // frontier at Threads=8 — with and without cross-schedule seen-state
-  // pruning — reports the deduplicated leak set of the sequential drain.
+  // pruning — reports the deduplicated leak set of the one-worker drain.
   std::vector<SuiteCase> Cases = kocherCases();
   for (const SuiteCase &C : kocherOriginalCases())
     Cases.push_back(C);

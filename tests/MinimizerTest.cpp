@@ -492,6 +492,9 @@ TEST(Minimizer, SessionThreadsAndFlagsPlumbThrough) {
                "--minimize-budget");
   EXPECT_PRED2(Names, ParseError({"--sps-max-tapes", "99999999999999999999"}),
                "--sps-max-tapes");
+  // A zero tape budget would run no tape and then explore anyway.
+  EXPECT_PRED2(Names, ParseError({"--sps-max-tapes", "0"}),
+               "--sps-max-tapes");
   EXPECT_PRED2(Names, ParseError({"--minimize-threads", " 2"}),
                "--minimize-threads");
   EXPECT_PRED2(Names, ParseError({"--minimize-threads", "99999"}),
@@ -501,7 +504,7 @@ TEST(Minimizer, SessionThreadsAndFlagsPlumbThrough) {
                "--threads");
   // Well-formed values at the range edges still parse.
   EXPECT_EQ(ParseError({"--threads", "0", "--minimize-budget",
-                        "18446744073709551615"}),
+                        "18446744073709551615", "--sps-max-tapes", "1"}),
             "");
   // The same reader serves drivers' own flags with other ranges
   // (sctcheck's --bound is [1, 2^32 - 1]).

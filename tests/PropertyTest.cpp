@@ -43,7 +43,7 @@ TEST_P(RandomizedMetatheory, SequentialEquivalenceTheoremB7) {
 
   // The canonical sequential machine, run for the same retire count.
   SequentialResult Seq =
-      runSequentialN(M, Configuration::initial(P), Speculative.Retires);
+      runSequential(M, Configuration::initial(P), Speculative.Retires);
   ASSERT_FALSE(Seq.Run.Stuck) << Seq.Run.StuckReason;
   ASSERT_EQ(Seq.Run.Retires, Speculative.Retires);
 

@@ -4,10 +4,19 @@
 #include "sched/RandomScheduler.h"
 #include "sched/Schedule.h"
 #include "sched/SequentialScheduler.h"
+#include "sched/WorkDeque.h"
 
 #include "isa/AsmParser.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <mutex>
+#include <set>
+#include <stdexcept>
+#include <thread>
 
 using namespace sct;
 
@@ -92,9 +101,30 @@ TEST(Sequential, NeverRollsBackOnStraightPrograms) {
   EXPECT_EQ(R.Run.Retires, 16u);
 }
 
-// The SPS checker resumes child tapes from boundary snapshots: a run
-// resumed from any boundary must end where the whole run ends, with the
-// retires split exactly at the snapshot.
+// Records what driveSequential reports: a snapshot, the retire count and
+// the directives applied so far at each boundary, and every applied
+// directive.
+struct SnapshotRecorder {
+  std::vector<Configuration> Snaps;
+  std::vector<size_t> RetiresAt;
+  std::vector<size_t> AppliedAt;
+  Schedule Applied;
+
+  void boundary(const Configuration &C, size_t Retires) {
+    EXPECT_TRUE(C.Buf.empty());
+    Snaps.push_back(C);
+    RetiresAt.push_back(Retires);
+    AppliedAt.push_back(Applied.size());
+  }
+  void applied(const Directive &D, const StepOutcome &, PC) {
+    Applied.push_back(D);
+  }
+};
+
+// The SPS checker resumes child tapes from boundary snapshots through
+// driveSequential, counting retires afresh against the bound left over:
+// a drive resumed from any boundary must end where the whole drive ends,
+// with the retires and the directives split exactly at the snapshot.
 TEST(Sequential, BoundarySnapshotsResumeToTheSameEnd) {
   Program P = parseAsmOrDie(R"(
     .reg ra rb i
@@ -110,20 +140,36 @@ TEST(Sequential, BoundarySnapshotsResumeToTheSameEnd) {
     out:
   )");
   Machine M(P);
-  std::vector<Configuration> Snaps;
-  std::vector<size_t> RetiresAt;
-  SequentialResult Whole = runSequential(
-      M, Configuration::initial(P), 1 << 20, [&](const SequentialResult &S) {
-        EXPECT_TRUE(S.Run.Final.Buf.empty());
-        EXPECT_EQ(S.Run.Retires, Snaps.size());
-        Snaps.push_back(S.Run.Final);
-        RetiresAt.push_back(S.Run.Retires);
-      });
-  ASSERT_EQ(Snaps.size(), 16u); // One boundary per retired instruction.
-  for (size_t I = 0; I < Snaps.size(); ++I) {
-    SequentialResult Rest = runSequential(M, Snaps[I]);
-    EXPECT_EQ(Rest.Run.Final, Whole.Run.Final) << "boundary " << I;
-    EXPECT_EQ(RetiresAt[I] + Rest.Run.Retires, Whole.Run.Retires);
+  // Unbounded, and with the bound cutting the loop short.
+  for (size_t Bound : {size_t(1) << 20, size_t(10)}) {
+    SCOPED_TRACE(Bound);
+    Configuration Whole = Configuration::initial(P);
+    size_t WholeRetires = 0;
+    SnapshotRecorder Rec;
+    std::string Why;
+    SeqEnd WholeEnd =
+        driveSequential(M, Whole, WholeRetires, Bound, Rec, Why);
+    ASSERT_NE(WholeEnd, SeqEnd::Stuck) << Why;
+    // One boundary per retired instruction.
+    ASSERT_EQ(Rec.Snaps.size(), std::min<size_t>(Bound, 16));
+    EXPECT_EQ(WholeEnd, Bound < 16 ? SeqEnd::HitBound : SeqEnd::Final);
+    for (size_t I = 0; I < Rec.Snaps.size(); ++I) {
+      EXPECT_EQ(Rec.RetiresAt[I], I);
+      Configuration C = Rec.Snaps[I];
+      size_t Retires = 0;
+      SnapshotRecorder Rest;
+      EXPECT_EQ(driveSequential(M, C, Retires, Bound - Rec.RetiresAt[I],
+                                Rest, Why),
+                WholeEnd)
+          << "boundary " << I;
+      EXPECT_EQ(C, Whole) << "boundary " << I;
+      EXPECT_EQ(Rec.RetiresAt[I] + Retires, WholeRetires);
+      // The resumed drive issues exactly the whole drive's remainder.
+      EXPECT_EQ(Rest.Applied,
+                Schedule(Rec.Applied.begin() + Rec.AppliedAt[I],
+                         Rec.Applied.end()))
+          << "boundary " << I;
+    }
   }
 }
 
@@ -267,6 +313,89 @@ TEST(RandomScheduler, AliasPredictionOnlyWhenEnabled) {
           SawFwdGuess = true;
     }
     EXPECT_EQ(SawFwdGuess, Allow);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Worker helper (the library's one thread-spawn site)
+//===----------------------------------------------------------------------===//
+
+TEST(Workers, EveryIndexRunsExactlyOnceOnFewEnoughWorkers) {
+  for (unsigned Workers : {2u, 3u, 8u})
+    for (size_t Count : {size_t(1), size_t(2), size_t(5), size_t(1000)}) {
+      SCOPED_TRACE(testing::Message() << Workers << " workers, " << Count
+                                      << " indices");
+      std::vector<std::atomic<unsigned>> Runs(Count);
+      std::atomic<unsigned> MaxWorker{0};
+      forEachIndex(Count, Workers, [&](size_t I, unsigned W) {
+        ++Runs[I];
+        unsigned Seen = MaxWorker.load();
+        while (W > Seen && !MaxWorker.compare_exchange_weak(Seen, W)) {
+        }
+      });
+      for (size_t I = 0; I < Count; ++I)
+        EXPECT_EQ(Runs[I].load(), 1u) << "index " << I;
+      EXPECT_LT(MaxWorker.load(), std::min<size_t>(Workers, Count));
+    }
+}
+
+TEST(Workers, NoIndicesRunNothing) {
+  for (unsigned Workers : {0u, 1u, 4u}) {
+    unsigned Calls = 0;
+    forEachIndex(0, Workers, [&](size_t, unsigned) { ++Calls; });
+    EXPECT_EQ(Calls, 0u) << Workers << " workers";
+  }
+}
+
+TEST(Workers, ZeroOrOneWorkerRunsInlineInOrder) {
+  for (unsigned Workers : {0u, 1u}) {
+    std::vector<size_t> Order;
+    std::set<std::thread::id> Threads;
+    forEachIndex(5, Workers, [&](size_t I, unsigned W) {
+      EXPECT_EQ(W, 0u);
+      Order.push_back(I);
+      Threads.insert(std::this_thread::get_id());
+    });
+    EXPECT_EQ(Order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(Threads, std::set<std::thread::id>{std::this_thread::get_id()});
+  }
+}
+
+TEST(Workers, CallerIsWorkerZeroAndEveryWorkerRunsOnce) {
+  const std::thread::id Caller = std::this_thread::get_id();
+  std::mutex Mu;
+  std::vector<unsigned> Ids;
+  std::set<std::thread::id> Threads;
+  std::thread::id Zero;
+  runWorkers(4, [&](unsigned Id) {
+    std::lock_guard<std::mutex> L(Mu);
+    Ids.push_back(Id);
+    Threads.insert(std::this_thread::get_id());
+    if (Id == 0)
+      Zero = std::this_thread::get_id();
+  });
+  std::sort(Ids.begin(), Ids.end());
+  EXPECT_EQ(Ids, (std::vector<unsigned>{0, 1, 2, 3}));
+  EXPECT_EQ(Threads.size(), 4u);
+  EXPECT_EQ(Zero, Caller);
+}
+
+TEST(Workers, JoinsEveryWorkerBeforeRethrowing) {
+  // Worker 0 (the caller) throws, and then another worker does: either
+  // way the others finish and are joined before the exception leaves.
+  for (unsigned Thrower : {0u, 2u}) {
+    std::atomic<unsigned> Finished{0};
+    EXPECT_THROW(runWorkers(4,
+                            [&](unsigned Id) {
+                              if (Id == Thrower)
+                                throw std::runtime_error("worker failed");
+                              std::this_thread::sleep_for(
+                                  std::chrono::milliseconds(20));
+                              ++Finished;
+                            }),
+                 std::runtime_error)
+        << "worker " << Thrower;
+    EXPECT_EQ(Finished.load(), 3u) << "worker " << Thrower;
   }
 }
 
